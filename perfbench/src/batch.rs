@@ -2,6 +2,7 @@
 //! `sensitivity_grid`, `corpus`): each spec handled the way `regenr sweep`
 //! handles it — parse, fresh engine, sweep, report — pass after pass.
 
+use crate::calib::Calibration;
 use crate::check::Reference;
 use crate::workloads::SpecText;
 use regenr_ctmc::Uniformized;
@@ -17,7 +18,7 @@ pub struct BatchOutcome {
     pub solve_s: Vec<f64>,
     /// Per spec: parse to serialized report, in milliseconds.
     pub latency_ms: Vec<f64>,
-    /// Measured passes' wall time.
+    /// Measured passes' wall time, calibration excluded.
     pub elapsed_s: f64,
     pub attempted: u64,
     pub failed: u64,
@@ -63,16 +64,18 @@ fn setup_only(text: &str) -> Result<f64, String> {
     Ok(setup)
 }
 
-/// One warm-up pass, then passes until `seconds` have elapsed (at least
-/// three), every cell of every pass checked against the reference. Each
-/// pass also repeats the set-up alone `extra_setups` times, so a workload
-/// with few passes still yields enough `setup_s` samples for a steady
-/// median.
+/// One warm-up pass, then measured passes while the next one is expected
+/// to end within `seconds` of the start (at least three), every cell of
+/// every pass checked against the reference. Each pass also repeats the
+/// set-up alone `extra_setups` times, so a workload with few passes still
+/// yields enough `setup_s` samples, and is followed by host calibration
+/// for a twentieth of its time.
 pub fn measure(
     specs: &[SpecText],
     seconds: f64,
     extra_setups: usize,
     reference: &Reference,
+    cal: &mut Calibration,
 ) -> Result<BatchOutcome, String> {
     let mut out = BatchOutcome::default();
     let pass = |record: bool, out: &mut BatchOutcome| -> Result<(), String> {
@@ -102,12 +105,20 @@ pub fn measure(
         }
         Ok(())
     };
+    let start = Instant::now();
     pass(false, &mut out)?;
-    let t0 = Instant::now();
-    while t0.elapsed().as_secs_f64() < seconds || out.solve_s.len() < 3 {
+    cal.sample_for(start.elapsed().as_secs_f64() / 20.0);
+    let mut last = start.elapsed().as_secs_f64();
+    let mut elapsed = 0.0;
+    while start.elapsed().as_secs_f64() + last <= seconds || out.solve_s.len() < 3 {
+        let p0 = Instant::now();
         pass(true, &mut out)?;
+        let work = p0.elapsed().as_secs_f64();
+        elapsed += work;
+        cal.sample_for(work / 20.0);
+        last = p0.elapsed().as_secs_f64();
     }
-    out.elapsed_s = t0.elapsed().as_secs_f64();
+    out.elapsed_s = elapsed;
     Ok(out)
 }
 

@@ -8,11 +8,24 @@ use regenr_engine::{
 use regenr_transient::MeasureKind;
 use std::collections::{BTreeMap, HashMap};
 
-/// Accepted deviation from the reference, relative to `max(|ref|, 1)` —
-/// the scale `repro compose` uses for its 1e-6 cross-method check, ten
-/// times tighter. The widest gap at this commit is 1.1e-8: RRL against RR
-/// for UR(1e5 h) at G = 40, where RR's inner SR accumulates roundoff.
-pub const TOLERANCE: f64 = 1e-7;
+/// Accepted deviation from the reference relative to the reference value.
+/// The widest relative gap at this commit is 1.5e-8: RRL against RR for
+/// UR(1e5 h) at G = 40, where RR's inner SR accumulates roundoff.
+pub const REL_TOLERANCE: f64 = 1e-7;
+
+/// Absolute floor of the accepted deviation, in units of the request's
+/// error budget ε. Each method's value lies within ε of the exact one, so
+/// two methods may differ by 2ε; the floor keeps cells far below 1 (the
+/// sensitivity grid's 1e-11 … 1e-8) from passing on the relative term's
+/// rounding alone. With ε ≤ 1e-8 the whole tolerance stays inside the
+/// `1e-6 · max(|ref|, 1)` that `repro compose` accepts.
+pub const EPSILON_FLOOR: f64 = 4.0;
+
+/// The largest accepted `|value − reference|` for a cell solved at error
+/// budget `epsilon`.
+pub fn tolerance(want: f64, epsilon: f64) -> f64 {
+    REL_TOLERANCE * want.abs() + EPSILON_FLOOR * epsilon
+}
 
 /// The paper's anchors: UR(1e5 h) to five digits at G = 20 and G = 40.
 const PAPER_ANCHORS: [(&str, &str); 2] = [("raid_g20_ur", "0.50480"), ("raid_g40_ur", "0.74750")];
@@ -62,9 +75,10 @@ impl Reference {
         Ok(Reference { cells })
     }
 
-    /// Whether one cell matches its reference (and, for the paper's UR
-    /// cells at 1e5 h, the published five digits).
-    pub fn cell_ok(&self, model: &str, measure: &str, t: f64, value: f64) -> bool {
+    /// Whether one cell, solved at error budget `epsilon`, matches its
+    /// reference (and, for the paper's UR cells at 1e5 h, the published
+    /// five digits).
+    pub fn cell_ok(&self, model: &str, measure: &str, t: f64, value: f64, epsilon: f64) -> bool {
         let Some(&want) = self.cells.get(&cell_key(model, measure, t)) else {
             return false;
         };
@@ -72,7 +86,7 @@ impl Reference {
             .iter()
             .filter(|(name, _)| *name == model && measure == "trr" && t == 1e5)
             .all(|(_, digits)| format!("{value:.5}") == *digits);
-        anchored && value.is_finite() && (value - want).abs() <= TOLERANCE * want.abs().max(1.0)
+        anchored && value.is_finite() && (value - want).abs() <= tolerance(want, epsilon)
     }
 
     /// Checks a sweep's cells against the cells its requests asked for:
@@ -83,7 +97,12 @@ impl Reference {
         let mut passed = 0u64;
         for r in reports {
             let measure = measure_name(r.measure);
-            if self.cell_ok(&r.model, measure, r.t, r.value) {
+            // A report without its request has no error budget: it fails.
+            let epsilon = requests
+                .iter()
+                .find(|q| q.name == r.model)
+                .map_or(f64::NAN, |q| q.epsilon);
+            if self.cell_ok(&r.model, measure, r.t, r.value, epsilon) {
                 passed += 1;
             } else {
                 let want = self.cells.get(&cell_key(&r.model, measure, r.t));
@@ -189,18 +208,30 @@ pub fn make_reference(w: Workload) -> Result<usize, String> {
 mod tests {
     use super::*;
 
+    const EPS: f64 = 1e-12;
+    /// A sensitivity-grid-sized cell: UR(0.01 h) of the absorbing G = 40
+    /// RAID is of order 1e-9.
+    const SMALL: f64 = 1.234_567e-9;
+    /// The smallest sensitivity-grid cells are of order 1e-11.
+    const TINY: f64 = 1.1e-11;
+
     fn reference() -> Reference {
         let mut cells = HashMap::new();
         cells.insert(cell_key("raid_g20_ur", "trr", 1e5), 0.504_797_123_4);
         cells.insert(cell_key("unit", "trr", 1.0), 9.99e-4);
+        cells.insert(cell_key("small", "trr", 0.01), SMALL);
+        cells.insert(cell_key("tiny", "trr", 0.01), TINY);
         Reference { cells }
     }
 
     #[test]
     fn exact_values_pass() {
         let r = reference();
-        assert!(r.cell_ok("raid_g20_ur", "trr", 1e5, 0.504_797_123_4));
-        assert!(r.cell_ok("unit", "trr", 1.0, 9.99e-4 + 1e-12));
+        assert!(r.cell_ok("raid_g20_ur", "trr", 1e5, 0.504_797_123_4, EPS));
+        assert!(r.cell_ok("unit", "trr", 1.0, 9.99e-4 + 1e-12, EPS));
+        // Two methods may disagree by their two error budgets.
+        assert!(r.cell_ok("small", "trr", 0.01, SMALL + 2.0 * EPS, EPS));
+        assert!(r.cell_ok("tiny", "trr", 0.01, TINY - 2.0 * EPS, EPS));
     }
 
     #[test]
@@ -208,14 +239,44 @@ mod tests {
         let r = reference();
         // A perturbation just past the tolerance fails, as do a missing
         // cell, a non-finite value, and a value off the paper's digits.
-        assert!(!r.cell_ok("unit", "trr", 1.0, 9.99e-4 + 2.0 * TOLERANCE));
-        assert!(!r.cell_ok("raid_g20_ur", "trr", 1e5, 0.504_797_123_4 * (1.0 + 1e-6)));
-        assert!(!r.cell_ok("unit", "trr", 10.0, 9.99e-4));
-        assert!(!r.cell_ok("unit", "trr", 1.0, f64::NAN));
+        let unit_tol = tolerance(9.99e-4, EPS);
+        assert!(!r.cell_ok("unit", "trr", 1.0, 9.99e-4 + 2.0 * unit_tol, EPS));
+        assert!(!r.cell_ok(
+            "raid_g20_ur",
+            "trr",
+            1e5,
+            0.504_797_123_4 * (1.0 + 1e-6),
+            EPS
+        ));
+        assert!(!r.cell_ok("unit", "trr", 10.0, 9.99e-4, EPS));
+        assert!(!r.cell_ok("unit", "trr", 1.0, f64::NAN, EPS));
         let mut off = reference();
         off.cells
             .insert(cell_key("raid_g20_ur", "trr", 1e5), 0.50470);
-        assert!(!off.cell_ok("raid_g20_ur", "trr", 1e5, 0.50470));
+        assert!(!off.cell_ok("raid_g20_ur", "trr", 1e5, 0.50470, EPS));
+        // Cells far below 1 are held to their own scale: zeroed, doubled,
+        // halved or 1% off, a sensitivity-grid-sized cell fails.
+        for cell in [SMALL, TINY] {
+            let model = if cell == SMALL { "small" } else { "tiny" };
+            for wrong in [0.0, 2.0 * cell, 0.5 * cell, -cell] {
+                assert!(
+                    !r.cell_ok(model, "trr", 0.01, wrong, EPS),
+                    "{model}: {wrong:e}"
+                );
+            }
+        }
+        assert!(!r.cell_ok("small", "trr", 0.01, SMALL * 1.01, EPS));
+        // A cell whose error budget is unknown fails.
+        assert!(!r.cell_ok("small", "trr", 0.01, SMALL, f64::NAN));
+    }
+
+    #[test]
+    fn the_tolerance_is_never_looser_than_repro_compose() {
+        for want in [0.0, 1e-11, 1e-9, 1e-3, 0.5, 1.0, 3.0] {
+            for eps in [1e-12, 1e-10, 1e-8] {
+                assert!(tolerance(want, eps) <= 1e-6 * f64::max(want.abs(), 1.0));
+            }
+        }
     }
 
     #[test]
@@ -239,7 +300,9 @@ mod tests {
             reference.check_cells(&spec.requests, &report.reports),
             (cells, 0)
         );
-        report.reports[cells as usize / 2].value += 10.0 * TOLERANCE;
+        let i = cells as usize / 2;
+        let eps = spec.requests[0].epsilon;
+        report.reports[i].value += 10.0 * tolerance(report.reports[i].value, eps);
         assert_eq!(
             reference.check_cells(&spec.requests, &report.reports),
             (cells, 1)

@@ -13,6 +13,7 @@
 //! `perfbench/README.md`.
 
 mod batch;
+mod calib;
 mod check;
 mod layers;
 mod replay;
@@ -24,14 +25,23 @@ mod workloads;
 use regenr_engine::Json;
 use workloads::Workload;
 
-/// Offered rate of the `serve_mix` latency phase, requests/s.
+/// Offered rate of the `serve_mix` latency phase, requests/s: a light,
+/// fixed load (an assumption, like the mix itself), under which a 2-core
+/// machine mostly has one request in flight, so `latency_p50_ms` measures
+/// service time more than queueing.
 pub const SERVE_RATE_RPS: f64 = 20.0;
-/// The `serve_mix` capacity ladder, requests/s, climbed until a rung fails.
+/// The `serve_mix` capacity ladder, requests/s, climbed until a rung fails:
+/// fixed rungs from twice the latency phase's rate upwards, never derived
+/// from the commit under test.
 pub const SERVE_LADDER_RPS: [f64; 14] = [
     40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0, 115.0, 130.0, 150.0, 175.0, 200.0, 250.0, 300.0,
 ];
 /// A ladder rung passes while its tail latency stays under this limit.
 pub const SERVE_LATENCY_LIMIT_MS: f64 = 250.0;
+/// Share of `--seconds` the `serve_mix` latency phase runs.
+pub const SERVE_LATENCY_SHARE: f64 = 0.5;
+/// Share of `--seconds` each ladder rung runs.
+pub const SERVE_RUNG_SHARE: f64 = 0.04;
 
 struct Args {
     workload: Workload,
@@ -146,12 +156,14 @@ fn run(args: &[String]) -> Result<(), String> {
                 (
                     name.clone(),
                     Json::Obj(vec![
+                        // A metric that could not be measured is null, never
+                        // a number that would read as a result.
                         (
                             "value".into(),
                             if value.is_finite() {
                                 Json::Num(*value)
                             } else {
-                                Json::Num(0.0)
+                                Json::Null
                             },
                         ),
                         ("unit".into(), Json::Str((*unit).into())),

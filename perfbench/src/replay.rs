@@ -150,7 +150,12 @@ pub fn replay(specs: &[String], shared: Option<&Engine>, on: bool) -> Result<Rep
                 theta: opts.theta,
                 regen_state: req.regen_state,
                 inverter: opts.inverter,
-                parallel: opts.parallel,
+                // One thread, as `regenr sweep` runs at `"threads": 1`: the
+                // replay times each call alone, never on the worker pool.
+                parallel: ParallelConfig {
+                    threads: 1,
+                    ..opts.parallel
+                },
                 dense_limit: opts.dense_oracle_max_states,
             };
             let lambda = if facts.max_rate == 0.0 {

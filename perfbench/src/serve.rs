@@ -4,7 +4,7 @@
 //! behind shows up as latency, never as a silently lower rate.
 
 use crate::check::{cell_key, Reference};
-use crate::workloads::Planned;
+use crate::workloads::{Planned, SERVE_EPSILON};
 use regenr_engine::{CacheConfig, Json, ServeConfig, Server};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -174,7 +174,7 @@ fn request(
                 let num = |k: &str| doc.get(k).and_then(Json::as_f64).unwrap_or(f64::NAN);
                 let (model, measure, t, value) =
                     (field("model"), field("measure"), num("t"), num("value"));
-                if reference.cell_ok(model, measure, t, value) {
+                if reference.cell_ok(model, measure, t, value, SERVE_EPSILON) {
                     passed += 1;
                 }
                 o.methods.push(field("method").to_string());

@@ -22,11 +22,6 @@ impl Rng {
         (self.next_u64() % n as u64) as usize
     }
 
-    /// Uniform in `[0, 1)`.
-    pub fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
             xs.swap(i, self.below(i + 1));
@@ -59,7 +54,9 @@ pub fn tail(xs: &[f64]) -> (f64, f64, usize) {
     }
     let mut s = xs.to_vec();
     s.sort_by(f64::total_cmp);
-    let idx = n.saturating_sub(11).max((n - 1) / 2);
+    let idx = n
+        .saturating_sub(11)
+        .max(((n - 1) as f64 / 2.0).round() as usize);
     let pct = if n > 1 {
         100.0 * idx as f64 / (n - 1) as f64
     } else {

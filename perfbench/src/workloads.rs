@@ -140,14 +140,43 @@ pub fn batch_specs(w: Workload, seed: u64) -> Result<Vec<SpecText>, String> {
 }
 
 // ---------------------------------------------------------------- serve_mix
+//
+// The repo records no production traffic, so the mix below is an
+// assumption, not a measurement. Each constant says why it has its value
+// and which metrics it moves; a change to any of them changes the
+// benchmark, not the program.
 
-/// Small RAID models a distinct `serve_mix` request draws from.
+/// Error budget of every `serve_mix` request: the ε of every spec
+/// `repro serve` sends.
+pub const SERVE_EPSILON: f64 = 1e-10;
+
+/// RAID group sizes a distinct request draws from: small chains (about
+/// 10² to 10³ states) so that a distinct request costs milliseconds and the
+/// serve layer's own overhead shows in the latency.
 const SERVE_G: [u32; 6] = [3, 4, 5, 6, 7, 8];
+/// `lambda_d` factors a distinct request draws from. Eight rate variants of
+/// each structure let the cache serve later variants by donor rebind
+/// (`cache.rebinds`); 6 sizes × 2 flavours × 8 factors = 96 models exceed
+/// the server's 64-entry cache, so eviction is part of the run
+/// (`cache.evictions`).
 const SERVE_FACTORS: [&str; 8] = ["0.5", "0.75", "1", "1.25", "1.5", "2", "3", "4"];
-const SERVE_HORIZONS: [&str; 4] = ["1", "10", "100", "1000"];
+/// Horizons of every distinct request: the decades where Auto dispatch
+/// moves from Adaptive through SR to RSD/RRL on small chains. Every
+/// distinct request asks for all four, so requests differ only in model.
+const SERVE_HORIZONS: &str = "1, 10, 100, 1000";
 
-/// The hot specs: re-sent throughout the run, sometimes as concurrent
-/// pairs so that the server coalesces them.
+/// One arrival in `HOT_EVERY` is a hot spec (assumed). This share sets
+/// `serve.coalesced`, the cache hit counters and `cache.hit_ratio`, and
+/// weighs the latency figures, since hot specs are the largest requests.
+const HOT_EVERY: usize = 5;
+/// Every `PAIR_EVERY`-th hot arrival is two requests due at the same
+/// instant, so that the server coalesces them (assumed; sets
+/// `serve.coalesced`).
+const PAIR_EVERY: usize = 2;
+
+/// The hot specs, re-sent in a fixed rotation, with their cell counts:
+/// the irreducible and absorbing G = 12 RAID, and a two-model G = 10
+/// request — one hot spec of each shape a client may repeat.
 const HOT_SPECS: [(&str, u64); 3] = [
     (
         r#"{"epsilon": 1e-10, "horizons": [1, 10, 100, 1000], "models": [{"kind": "raid", "g": 12}]}"#,
@@ -163,10 +192,9 @@ const HOT_SPECS: [(&str, u64); 3] = [
     ),
 ];
 
-fn small_raid_spec(g: u32, absorbing: bool, factor: &str, horizons: &[&str]) -> String {
+fn small_raid_spec(g: u32, absorbing: bool, factor: &str) -> String {
     format!(
-        r#"{{"epsilon": 1e-10, "horizons": [{}], "models": [{{"kind": "raid", "g": {g}, "absorbing": {absorbing}, "sensitivity": {{"param": "lambda_d", "grid": [{factor}]}}}}]}}"#,
-        horizons.join(", ")
+        r#"{{"epsilon": {SERVE_EPSILON:e}, "horizons": [{SERVE_HORIZONS}], "models": [{{"kind": "raid", "g": {g}, "absorbing": {absorbing}, "sensitivity": {{"param": "lambda_d", "grid": [{factor}]}}}}]}}"#
     )
 }
 
@@ -181,23 +209,26 @@ pub struct Planned {
 }
 
 /// A seeded open-loop schedule: requests due every `1 / rate` seconds for
-/// `duration_s`. Every fifth arrival is a hot spec, the three in rotation,
-/// every other one sent as a concurrent pair (two requests due at the same
-/// instant); the rest are distinct small RAID specs drawn from the seed.
-/// The rotation is fixed so that each seed sends the same number of each
-/// hot spec, which the latency tail depends on.
+/// `duration_s`. Every [`HOT_EVERY`]-th arrival is a hot spec, the three
+/// in rotation, every [`PAIR_EVERY`]-th of them sent as a concurrent pair;
+/// the rest are distinct small RAID specs drawn from the seed. The hot
+/// rotation is fixed, and the distinct specs deal every (G, flavour) pair
+/// once per round in a seeded order, so that each seed sends the same mix
+/// of request sizes and the seed moves only which requests are sent, not
+/// the latency distribution they make.
 pub fn serve_schedule(seed: u64, rate: f64, duration_s: f64) -> Vec<Planned> {
     let mut rng = Rng::new(seed);
+    let mut deck: Vec<(u32, bool)> = Vec::new();
     let mut out = Vec::new();
     for i in 1usize.. {
         let t = i as f64 / rate;
         if t >= duration_s {
             break;
         }
-        if i % 5 == 0 {
-            let k = i / 5;
+        if i.is_multiple_of(HOT_EVERY) {
+            let k = i / HOT_EVERY;
             let (spec, cells) = HOT_SPECS[k % HOT_SPECS.len()];
-            let copies = if k % 2 == 0 { 2 } else { 1 };
+            let copies = if k.is_multiple_of(PAIR_EVERY) { 2 } else { 1 };
             for _ in 0..copies {
                 out.push(Planned {
                     due_s: t,
@@ -206,21 +237,19 @@ pub fn serve_schedule(seed: u64, rate: f64, duration_s: f64) -> Vec<Planned> {
                 });
             }
         } else {
-            let g = SERVE_G[rng.below(SERVE_G.len())];
-            let absorbing = rng.unit() < 0.5;
-            let factor = SERVE_FACTORS[rng.below(SERVE_FACTORS.len())];
-            let mut horizons: Vec<&str> = SERVE_HORIZONS
-                .iter()
-                .copied()
-                .filter(|_| rng.unit() < 0.5)
-                .collect();
-            if horizons.is_empty() {
-                horizons.push(SERVE_HORIZONS[rng.below(SERVE_HORIZONS.len())]);
+            if deck.is_empty() {
+                deck = SERVE_G
+                    .iter()
+                    .flat_map(|&g| [(g, false), (g, true)])
+                    .collect();
+                rng.shuffle(&mut deck);
             }
+            let (g, absorbing) = deck.pop().expect("dealt a full round");
+            let factor = SERVE_FACTORS[rng.below(SERVE_FACTORS.len())];
             out.push(Planned {
                 due_s: t,
-                spec: small_raid_spec(g, absorbing, factor, &horizons),
-                cells: horizons.len() as u64,
+                spec: small_raid_spec(g, absorbing, factor),
+                cells: SERVE_HORIZONS.split(',').count() as u64,
             });
         }
     }
@@ -266,7 +295,7 @@ pub fn universe(w: Workload) -> Result<Vec<SpecText>, String> {
                     for factor in SERVE_FACTORS {
                         specs.push(SpecText {
                             label: format!("g{g}_{absorbing}_{factor}"),
-                            text: small_raid_spec(g, absorbing, factor, &SERVE_HORIZONS),
+                            text: small_raid_spec(g, absorbing, factor),
                         });
                     }
                 }
