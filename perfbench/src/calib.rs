@@ -17,6 +17,9 @@ use std::time::Instant;
 /// were validated on reached in its fast stretches. A fixed constant: it
 /// only sets the scale of the reported figures.
 pub const REFERENCE_S: f64 = 0.8e-3;
+/// The wall time of one whole sample (three runs of each kernel) that the
+/// same machine reached in its fast stretches.
+pub const REFERENCE_WALL_S: f64 = 6.4e-3;
 
 /// Rows of the gather kernel; with six entries a row its matrix and
 /// vectors take about 1.4 MiB, small beside every workload's peak resident
@@ -35,6 +38,9 @@ pub struct Calibration {
     scratch: Vec<u64>,
     /// One entry per sample: the geometric mean of both kernels' times.
     samples: Vec<f64>,
+    /// One entry per sample: its wall time, every run and preemption
+    /// included.
+    walls: Vec<f64>,
 }
 
 impl Calibration {
@@ -55,6 +61,7 @@ impl Calibration {
             keys,
             scratch: vec![0; KEYS],
             samples: Vec::new(),
+            walls: Vec::new(),
         }
     }
 
@@ -93,11 +100,13 @@ impl Calibration {
     /// Takes one sample: the best of three runs of each kernel, combined
     /// as a geometric mean.
     pub fn sample(&mut self) {
+        let t0 = Instant::now();
         let gather = (0..3).map(|_| self.gather()).fold(f64::INFINITY, f64::min);
         let sort = (0..3)
             .map(|_| self.sort_hash())
             .fold(f64::INFINITY, f64::min);
         self.samples.push((gather * sort).sqrt());
+        self.walls.push(t0.elapsed().as_secs_f64());
     }
 
     /// Samples until about `seconds` have gone into calibration, at least
@@ -127,5 +136,21 @@ impl Calibration {
     /// stretches alike.
     pub fn slowdown(&self, p: f64) -> f64 {
         self.seconds(p) / REFERENCE_S
+    }
+
+    /// How much slower than [`REFERENCE_S`] the host ran on average over
+    /// the samples. A shared host switches between a fast and a slow speed
+    /// every second or so; the mean moves in step with the share of slow
+    /// stretches, where a median would jump from one speed to the other.
+    pub fn mean_slowdown(&self) -> f64 {
+        self.samples.iter().sum::<f64>() / self.samples.len() as f64 / REFERENCE_S
+    }
+
+    /// How much slower than [`REFERENCE_WALL_S`] whole samples took on
+    /// average. Unlike the best-of-three kernel times, a sample's wall time
+    /// keeps every preemption of the process, as a served request's latency
+    /// does.
+    pub fn mean_wall_slowdown(&self) -> f64 {
+        self.walls.iter().sum::<f64>() / self.walls.len() as f64 / REFERENCE_WALL_S
     }
 }

@@ -3,6 +3,7 @@
 //! open. Every request is timed from its due time, so a generator that falls
 //! behind shows up as latency, never as a silently lower rate.
 
+use crate::calib::Calibration;
 use crate::check::{cell_key, Reference};
 use crate::workloads::{Planned, SERVE_EPSILON};
 use regenr_engine::{CacheConfig, Json, ServeConfig, Server};
@@ -204,19 +205,51 @@ fn request(
     o
 }
 
+/// Where in the gap between two due times [`drive`] takes a calibration
+/// sample. A sample takes a few milliseconds, so at the 50 ms gaps of the
+/// latency phase it ends well before the next request is due.
+const CAL_AT: f64 = 0.6;
+/// Gaps shorter than this get no calibration sample.
+const MIN_CAL_GAP_S: f64 = 0.03;
+
 /// Drives `plan` open-loop from `start` with `conns` connection slots: each
 /// slot claims the next request in due order, waits for its due time, and
 /// runs it; a request whose slot frees up late starts late, and that wait
-/// counts in its latency.
+/// counts in its latency. With `cal`, one host calibration sample is also
+/// taken in each gap between due times, at [`CAL_AT`] of the gap and only
+/// while no request is in flight: the samples see the same stretches of a
+/// shared host as the requests do, and never compete with one.
 pub fn drive(
     addr: SocketAddr,
     plan: &[Planned],
     conns: usize,
     reference: &Reference,
+    cal: Option<&mut Calibration>,
 ) -> Vec<Outcome> {
     let next = AtomicUsize::new(0);
+    let inflight = &AtomicUsize::new(0);
     let start = Instant::now() + Duration::from_millis(5);
     let mut outcomes: Vec<(usize, Outcome)> = std::thread::scope(|s| {
+        if let Some(cal) = cal {
+            s.spawn(move || {
+                for w in plan.windows(2) {
+                    let gap = w[1].due_s - w[0].due_s;
+                    if gap < MIN_CAL_GAP_S {
+                        continue;
+                    }
+                    let at = start + Duration::from_secs_f64(w[0].due_s + CAL_AT * gap);
+                    // A sample that would start late could meet the next
+                    // request: skip it.
+                    let Some(wait) = at.checked_duration_since(Instant::now()) else {
+                        continue;
+                    };
+                    std::thread::sleep(wait);
+                    if inflight.load(Ordering::SeqCst) == 0 {
+                        cal.sample();
+                    }
+                }
+            });
+        }
         let workers: Vec<_> = (0..conns.max(1))
             .map(|_| {
                 s.spawn(|| {
@@ -228,7 +261,9 @@ pub fn drive(
                         if let Some(wait) = due.checked_duration_since(Instant::now()) {
                             std::thread::sleep(wait);
                         }
+                        inflight.fetch_add(1, Ordering::SeqCst);
                         mine.push((i, request(addr, &p.spec, due, p.cells, reference)));
+                        inflight.fetch_sub(1, Ordering::SeqCst);
                     }
                     mine
                 })
