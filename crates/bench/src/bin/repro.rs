@@ -725,52 +725,42 @@ fn engine_grid(w: &Workload) {
         exec.workspace.fresh_allocs,
         exec.workspace.reused
     );
-    pool_vs_spawn(w);
+    pool_vs_serial(w);
 }
 
-/// Measures the execution-layer refactor directly: repeated SpMV stepping
-/// over the G=40 RAID matrix (the hot loop of every randomization solver)
-/// through (a) the persistent worker pool with a cached chunk plan versus
-/// (b) the original per-product `std::thread::scope` spawning, at the same
-/// chunk decomposition. Serial stepping is the baseline; all three produce
-/// bitwise-identical iterates.
-fn pool_vs_spawn(w: &Workload) {
+/// Measures the execution layer directly: repeated SpMV stepping over the
+/// G=40 RAID matrix (the hot loop of every randomization solver) serially
+/// versus through the persistent worker pool with a cached chunk plan. Both
+/// run the generic kernel and produce bitwise-identical iterates.
+fn pool_vs_serial(w: &Workload) {
     use regenr_ctmc::Uniformized;
     use regenr_sparse::{ParallelConfig, WorkerPool};
 
-    println!("\n== execution core: pooled vs per-call-spawn SpMV (G=40 UR stepping) ==");
+    println!("\n== execution core: pooled vs serial SpMV (G=40 UR stepping) ==");
     let chain = w.chain(40, Variant::Ur);
     let unif = Uniformized::new(&chain, 0.0);
     let n = chain.n_states();
     let steps = 400usize;
-    // `chunks` fixes the work decomposition both parallel kernels share;
-    // how many threads actually execute it differs per kernel — the spawn
-    // baseline creates one scoped thread per chunk, while the pooled path
-    // runs on the global pool (and degrades to inline/serial on a
-    // single-core pool). The CSV records both so the artifact never
-    // overstates the pool's concurrency.
+    // `chunks` fixes the work decomposition; the pool executes it on at
+    // most its own thread count (inline/serial on a single-core pool). The
+    // CSV records both so the artifact never overstates the concurrency.
     let pool_threads = WorkerPool::global().threads();
     let chunks = pool_threads.max(4);
     let cfg = ParallelConfig {
         min_nnz: 0,
         threads: chunks,
-        // The pool-vs-spawn comparison isolates the execution strategy, so
-        // both run the same generic kernel.
+        // Isolate the execution strategy: the same kernel as serial.
         kernel: regenr_sparse::KernelChoice::Generic,
         ..Default::default()
     };
-    let exec_threads = |kernel: &str| match kernel {
-        "serial" => 1,
-        "pooled" => pool_threads.min(chunks),
-        _ => chunks,
-    };
+    let pooled_threads = pool_threads.min(chunks);
 
     let mut csv =
         CsvWriter::create("exec_pool", "kernel,chunks,exec_threads,steps,seconds").unwrap();
-    let mut run = |name: &str, step: &mut dyn FnMut(&[f64], &mut [f64])| -> f64 {
+    let mut run = |name: &str, threads: usize, step: &mut dyn FnMut(&[f64], &mut [f64])| {
         let mut pi = chain.initial().to_vec();
         let mut next = vec![0.0; n];
-        // Warm-up step so thread creation / plan caching settles.
+        // Warm-up step so plan caching and the pool settle.
         step(&pi, &mut next);
         let t0 = std::time::Instant::now();
         for _ in 0..steps {
@@ -782,7 +772,7 @@ fn pool_vs_spawn(w: &Workload) {
         csv.row(&[
             name.into(),
             chunks.to_string(),
-            exec_threads(name).to_string(),
+            threads.to_string(),
             steps.to_string(),
             format!("{secs:.6}"),
         ])
@@ -790,38 +780,29 @@ fn pool_vs_spawn(w: &Workload) {
         secs.max(f64::MIN_POSITIVE)
     };
 
-    let serial = run("serial", &mut |pi, next| {
+    let serial = run("serial", 1, &mut |pi, next| {
         unif.p_t.mul_vec_into(pi, next);
     });
     let stepper = unif.stepper(&cfg);
-    let pooled = run("pooled", &mut |pi, next| stepper.step(pi, next));
-    let spawn = run("spawn_per_call", &mut |pi, next| {
-        unif.p_t.mul_vec_spawn_into(pi, next, &cfg);
+    let pooled = run("pooled", pooled_threads, &mut |pi, next| {
+        stepper.step(pi, next)
     });
     println!(
         "  {steps} steps over {n} states x {} nnz, {chunks} chunks \
-         (pool executes on {} thread(s), spawn creates {chunks}/call):",
+         (pool executes on {pooled_threads} thread(s)):",
         unif.p_t.nnz(),
-        exec_threads("pooled"),
     );
     println!("  {:>16} {:>10.4}s", "serial", serial);
     println!(
-        "  {:>16} {:>10.4}s ({:.2}x vs per-call spawn)",
+        "  {:>16} {:>10.4}s ({:.2}x vs serial)",
         "pooled (warm)",
         pooled,
-        spawn / pooled
-    );
-    println!("  {:>16} {:>10.4}s", "spawn per call", spawn);
-    println!(
-        "  pool wall-time improvement over per-call spawning: {:+.1}%",
-        (spawn - pooled) / spawn * 100.0
+        serial / pooled
     );
     if pool_threads < chunks {
         println!(
             "  note: the global pool has only {pool_threads} thread(s) here, so the \
-             pooled kernel ran (near-)serially; on a {chunks}-core machine both \
-             kernels execute {chunks}-way parallel and the delta isolates \
-             thread-creation cost."
+             {chunks} chunks ran at most {pool_threads}-way parallel."
         );
     }
 }
@@ -972,10 +953,10 @@ fn sensitivity() {
     println!("  bitwise: warm values identical to cold-cache solves (80 cells)");
 }
 
-/// A synthetic diag-dense matrix — the diagsplit selection regime: long
-/// ragged rows (so neither shortrow nor sliced fires first) with a fully
-/// stored diagonal, row sums ≈ 1 so repeated stepping stays bounded (no
-/// denormal stalls polluting the timings).
+/// A synthetic diag-dense matrix: long ragged rows (far beyond shortrow's
+/// regime, padded far below a uniform sliced layout) with a fully stored
+/// diagonal, row sums ≈ 1 so repeated stepping stays bounded (no denormal
+/// stalls polluting the timings).
 fn diag_dense_matrix(n: usize) -> regenr_sparse::CsrMatrix {
     use regenr_sparse::CooBuilder;
     let mut b = CooBuilder::new(n, n);
@@ -991,15 +972,15 @@ fn diag_dense_matrix(n: usize) -> regenr_sparse::CsrMatrix {
 
 /// Kernel × backend ablation: warm repeated stepping on the uniformized
 /// `Pᵀ` of the paper's G=20/40 UR models plus a synthetic diag-dense
-/// matrix (the diagsplit selection regime), one timing per (kernel,
-/// backend) pair — scalar always, plus every SIMD backend this build and
-/// CPU support for the kernels that have vector variants. All timings are
-/// single-threaded best-of-3 so the numbers isolate the *kernel* (the
-/// pool-vs-spawn comparison in `engine` isolates the execution strategy).
-/// Every final iterate is asserted bitwise identical to the scalar generic
-/// baseline; diagsplit is asserted at least as fast as generic on its own
-/// selection regime (the per-row flag branch that used to drag it below
-/// its prototype is gone); `results/kernels.csv` records the grid.
+/// matrix, one timing per (kernel, backend) pair — scalar always, plus
+/// every SIMD backend this build and CPU support for the sliced kernel (the
+/// only one with vector variants). All timings are single-threaded best of
+/// 5 so the numbers isolate the *kernel* (the pooled-vs-serial comparison
+/// in `engine` isolates the execution strategy). Every final iterate is
+/// asserted bitwise identical to the scalar generic baseline, and what
+/// Auto selects is asserted at least as fast as generic on every matrix;
+/// each matrix's Auto-to-best ratio is printed, and `results/kernels.csv`
+/// records the grid.
 fn kernel_ablation(w: &Workload) {
     use regenr_ctmc::Uniformized;
     use regenr_sparse::{
@@ -1038,7 +1019,6 @@ fn kernel_ablation(w: &Workload) {
     let kernels = [
         KernelChoice::Generic,
         KernelChoice::ShortRow,
-        KernelChoice::DiagSplit,
         KernelChoice::Sliced,
     ];
     // One timed pass of `steps` products through a prebuilt plan (serial:
@@ -1086,31 +1066,35 @@ fn kernel_ablation(w: &Workload) {
 
     for (model, m, x0) in grid {
         let profile = MatrixProfile::analyze(m);
-        let selected = profile.select();
+        // What Auto runs on this matrix: the selected kernel on its
+        // resolved backend.
+        let auto_plan =
+            ChunkPlan::with_kernel_backend(m, 1, KernelChoice::Auto, BackendChoice::Auto);
+        let (selected, selected_backend) = (auto_plan.kernel_kind(), auto_plan.backend());
         println!(
-            "  {model}: {} rows, {} nnz, mean row {:.1}, diag density {:.3} -> selected kernel: {}",
+            "  {model}: {} rows, {} nnz, mean row {:.1}, short rows {:.2}, sliced fill {:.2} \
+             -> selected kernel: {selected}/{selected_backend}",
             m.nrows(),
             m.nnz(),
             profile.mean_row_len,
-            profile.diag_density,
-            selected
+            profile.short_row_frac,
+            profile.sliced_fill,
         );
         if model == "diagdense" {
             assert_eq!(
                 selected,
-                KernelKind::DiagSplit,
-                "the synthetic matrix must sit in diagsplit's selection regime"
+                KernelKind::Sliced,
+                "long ragged rows must select the sliced layout"
             );
         }
         // One configuration per (kernel, backend) pair: scalar always, plus
-        // every available SIMD backend for the kernels with vector variants
-        // (the others run scalar regardless, so extra rows would be
-        // duplicates).
+        // every available SIMD backend for sliced (the others run scalar
+        // regardless, so extra rows would be duplicates).
         let mut configs: Vec<(KernelKind, Backend, ChunkPlan)> = Vec::new();
         for choice in kernels {
             let kind = choice.forced().expect("ablation list is forced-only");
             let kernel_backends: &[Backend] = match kind {
-                KernelKind::ShortRow | KernelKind::Sliced => &backends,
+                KernelKind::Sliced => &backends,
                 _ => &backends[..1],
             };
             for &backend in kernel_backends {
@@ -1138,18 +1122,18 @@ fn kernel_ablation(w: &Workload) {
             }
         }
         let generic_secs = best[0];
-        let mut diagsplit_secs = f64::INFINITY;
+        let mut auto_secs = f64::NAN;
         let mut scalar_secs = f64::NAN;
         for ((kind, backend, plan), &secs) in configs.iter().zip(&best) {
             if *backend == Backend::Scalar {
                 scalar_secs = secs;
-                if *kind == KernelKind::DiagSplit {
-                    diagsplit_secs = secs;
-                }
             }
             let vs_generic = generic_secs / secs;
             let vs_scalar = scalar_secs / secs;
-            let is_selected = *kind == selected;
+            let is_selected = *kind == selected && *backend == selected_backend;
+            if is_selected {
+                auto_secs = secs;
+            }
             println!(
                 "  {:>10}/{:<6}{} {:>9.4}s  {:>5.2}x vs generic, {:>5.2}x vs scalar",
                 kind.name(),
@@ -1173,18 +1157,30 @@ fn kernel_ablation(w: &Workload) {
             ])
             .unwrap();
         }
-        if model == "diagdense" {
-            // The branchless rewrite's acceptance bar: on its own selection
-            // regime diagsplit must no longer lose to the generic loop.
-            assert!(
-                diagsplit_secs <= generic_secs,
-                "diagsplit ({diagsplit_secs:.4}s) must be at least as fast as generic \
-                 ({generic_secs:.4}s) on diag-dense matrices"
-            );
-        }
+        // Selection's acceptance bar: what Auto runs never loses to the
+        // generic loop. How far it sits from the fastest configuration is
+        // reported, not asserted (RAID's shortrow-vs-sliced choice is a
+        // near-tie that moves with the host).
+        let (best_slot, best_secs) = best
+            .iter()
+            .copied()
+            .enumerate()
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("at least one configuration");
+        let (best_kind, best_backend, _) = &configs[best_slot];
+        println!(
+            "  auto/best: {:.3} (auto {selected}/{selected_backend} {auto_secs:.4}s, \
+             best {best_kind}/{best_backend} {best_secs:.4}s)",
+            auto_secs / best_secs
+        );
+        assert!(
+            auto_secs <= generic_secs,
+            "{model}: Auto's {selected}/{selected_backend} ({auto_secs:.4}s) must be at \
+             least as fast as generic ({generic_secs:.4}s)"
+        );
         if model == "ur_g40" && backends.len() > 1 {
             // The SIMD layer's acceptance bar on the paper's G=40 UR grid:
-            // the best vectorized sliced/shortrow backend must clear 1.15×
+            // the best vectorized sliced backend must clear 1.15×
             // over the suite's scalar generic-CSR baseline (the CSV's
             // reference column). The vs-scalar-same-kernel column is
             // recorded too — that ratio is hardware-dependent (hardware
@@ -1194,10 +1190,7 @@ fn kernel_ablation(w: &Workload) {
             let best = configs
                 .iter()
                 .zip(&best)
-                .filter(|((kind, backend, _), _)| {
-                    matches!(kind, KernelKind::ShortRow | KernelKind::Sliced)
-                        && *backend != Backend::Scalar
-                })
+                .filter(|((_, backend, _), _)| *backend != Backend::Scalar)
                 .map(|((kind, backend, _), &secs)| (kind, backend, generic_secs / secs))
                 .max_by(|a, b| a.2.total_cmp(&b.2))
                 .expect("SIMD builds ablate at least one vector backend");
@@ -1230,8 +1223,6 @@ fn kernel_ablation(w: &Workload) {
             let max_k = *KS.last().unwrap();
             let pool = WorkerPool::global();
             let n = m.nrows();
-            let auto_plan =
-                ChunkPlan::with_kernel_backend(m, 1, KernelChoice::Auto, BackendChoice::Auto);
             // Serial reference trajectory: seeds are states 0..max_k, the
             // expected block outputs are states steps..steps+max_k.
             let mut seeds: Vec<Vec<f64>> = Vec::with_capacity(max_k);

@@ -571,7 +571,7 @@ mod tests {
         // shortrow under the full-width index policy keeps no layout.
         let _ = u.stepper(&ParallelConfig {
             kernel: KernelChoice::ShortRow,
-            index_width: IndexWidthChoice::W64,
+            index_width: IndexWidthChoice::W32,
             ..cfg
         });
         assert_eq!(charged.load(Ordering::Relaxed), first);

@@ -1042,7 +1042,11 @@ mod tests {
         // The blocked-stepping knobs are engine-wide too: the server's
         // stepper plans are shared across requests, so a posted spec may
         // not retune them per request.
-        for knob in [r#""rhs_block":4"#, r#""index_width":"16""#] {
+        for knob in [
+            r#""rhs_block":4"#,
+            r#""index_width":"16""#,
+            r#""index_width":64"#,
+        ] {
             let body = format!(r#"{{"horizons":[1],{knob},"models":[{{"kind":"cyclic","n":3}}]}}"#);
             let err = parse_posted_spec(body.as_bytes()).map(|_| ()).unwrap_err();
             assert_eq!(err.0, 400, "{knob}");

@@ -92,12 +92,13 @@
 //! lists the keys the kind accepts.
 //!
 //! `"kernel"` forces the SpMV kernel every solver's stepper runs (`auto`,
-//! `generic`, `shortrow`, `diagsplit`, `sliced`; default `auto` analyzes
-//! each matrix once and picks). `"backend"` forces the execution backend
-//! those kernels run on (`auto`, `scalar`, `sse2`, `avx2`; default `auto`
-//! probes the CPU once — forced backends are clamped to what the hardware
-//! and the build's `simd` feature support, so a spec never fails on a
-//! machine without AVX2, it just runs narrower). All kernels and backends
+//! `generic`, `shortrow`, `sliced`; default `auto` analyzes each matrix
+//! once and picks). `"backend"` forces the execution backend the sliced
+//! kernel runs on (`auto`, `scalar`, `sse2`, `avx2`; default `auto` probes
+//! the CPU once — forced backends are clamped to what the hardware and the
+//! build's `simd` feature support, so a spec never fails on a machine
+//! without AVX2, it just runs narrower; generic and shortrow always run
+//! scalar and report `"scalar"`). All kernels and backends
 //! are bitwise identical to the serial product, so forced-kernel and
 //! forced-backend `--stable` reports diff byte-for-byte — the CI
 //! determinism jobs rely on that.
@@ -106,10 +107,11 @@
 //! `"rhs_block"` (`auto`, `1`, `2`, `4`, `8`; string or bare integer) sets
 //! how many sweep cells sharing a generator and tolerance ride one
 //! multi-vector SpMM — `auto` groups four at a time whenever cells
-//! qualify, `1` disables grouping. `"index_width"` (`auto`, `16`, `32`,
-//! `64`) sets the column-index width of the compact kernel layouts —
-//! `auto` packs `u16` indices when the matrix is narrow enough, and a
-//! forced narrow width widens transparently when it is not. Like kernels
+//! qualify, `1` disables grouping. `"index_width"` (`auto`, `16`, `32`)
+//! sets the column-index width of the compact kernel layouts — `auto`
+//! packs `u16` indices when the matrix is narrow enough, a forced narrow
+//! width widens transparently when it is not, and `32` keeps the CSR's own
+//! width (no compaction). Like kernels
 //! and backends, every combination is bitwise identical to the serial
 //! product, so forced `--stable` reports diff byte-for-byte.
 //!
@@ -1552,14 +1554,14 @@ mod tests {
             stable_report_to_json(&report).to_string()
         };
         let auto = run("auto");
-        for kernel in ["generic", "shortrow", "diagsplit", "sliced"] {
+        for kernel in ["generic", "shortrow", "sliced"] {
             assert_eq!(auto, run(kernel), "kernel {kernel} must match auto");
         }
     }
 
     #[test]
     fn rejects_bad_kernel_knob() {
-        for bad in ["\"warp\"", "3", "true"] {
+        for bad in ["\"warp\"", "\"diagsplit\"", "3", "true"] {
             let doc = format!(
                 r#"{{"kernel": {bad}, "horizons": [1],
                     "models": [{{"kind": "cyclic", "n": 3}}]}}"#
@@ -1602,6 +1604,32 @@ mod tests {
         let scalar = run("scalar");
         for backend in ["auto", "sse2", "avx2"] {
             assert_eq!(scalar, run(backend), "backend {backend} must match scalar");
+        }
+    }
+
+    /// Shortrow has no vector variant: forcing `"backend": "avx2"` with it
+    /// steps scalar, and every stepping cell reports exactly that.
+    #[test]
+    fn forced_avx2_backend_with_shortrow_reports_scalar() {
+        let spec = SweepSpec::parse(
+            r#"{"epsilon": 1e-10, "kernel": "shortrow", "backend": "avx2",
+                "horizons": [1, 100], "models": [{"kind": "raid", "g": 2}]}"#,
+        )
+        .unwrap();
+        let engine = crate::Engine::with_cache_config(spec.options, spec.cache);
+        let report = engine.sweep(&spec.requests);
+        assert!(report.failures.is_empty(), "{:?}", report.failures);
+        let stepping: Vec<_> = report
+            .reports
+            .iter()
+            .filter(|r| r.kernel != "none")
+            .collect();
+        assert!(
+            !stepping.is_empty(),
+            "the grid must step a uniformized chain"
+        );
+        for r in stepping {
+            assert_eq!((r.kernel, r.backend), ("shortrow", "scalar"), "t={}", r.t);
         }
     }
 
@@ -1648,7 +1676,7 @@ mod tests {
         };
         let (auto_cells, auto) = run("\"auto\"", "\"auto\"");
         assert!(auto_cells > 0, "two-measure grid must group under auto");
-        let (serial_cells, serial) = run("1", "\"64\"");
+        let (serial_cells, serial) = run("1", "\"32\"");
         assert_eq!(serial_cells, 0, "rhs_block 1 must disable grouping");
         assert_eq!(auto, serial, "blocked and serial reports must match");
         // String and bare-integer spellings, every width, every block.
@@ -1667,7 +1695,7 @@ mod tests {
             );
             assert!(SweepSpec::parse(&doc).is_err(), "rhs_block {bad} accepted");
         }
-        for bad in ["\"48\"", "48", "\"both\"", "false", "16.5"] {
+        for bad in ["\"48\"", "48", "64", "\"64\"", "\"both\"", "false", "16.5"] {
             let doc = format!(
                 r#"{{"index_width": {bad}, "horizons": [1],
                     "models": [{{"kind": "cyclic", "n": 3}}]}}"#

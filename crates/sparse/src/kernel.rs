@@ -2,45 +2,38 @@
 //!
 //! The randomization solvers spend nearly all their time in `y = A·x` over
 //! one fixed matrix, and the models the paper evaluates produce highly
-//! structured generators: short rows (a handful of transitions per state), a
-//! fully materialized diagonal (`P = I + Q/Λ` stores every diagonal entry),
-//! near-banded couplings. A single generic CSR loop leaves measurable factors
-//! on the table there, so the execution layer analyzes each matrix **once**
-//! (at [`ChunkPlan`](crate::ChunkPlan) construction) and picks a kernel:
+//! structured generators: short rows (a handful of transitions per state)
+//! and near-uniform row lengths. A single generic CSR loop leaves
+//! measurable factors on the table there, so the execution layer analyzes
+//! each matrix **once** (at [`ChunkPlan`](crate::ChunkPlan) construction)
+//! and picks a kernel:
 //!
 //! * **generic** — the textbook bounds-checked CSR gather; the ground truth
-//!   every other kernel must match bitwise, and the fallback for matrices
-//!   with no exploitable structure (or too small to amortize a layout).
+//!   every other kernel must match bitwise, and the choice for matrices too
+//!   small to amortize a layout.
 //! * **shortrow** — the same loop with one-time-validated unchecked indexing;
 //!   wins on short-row matrices where per-element bounds checks and loop
 //!   overhead rival the arithmetic.
-//! * **diagsplit** — stores the diagonal densely and the off-diagonal
-//!   entries in a split CSR; each row accumulates *lower entries, diagonal,
-//!   upper entries* — exactly the column-sorted CSR order, so results stay
-//!   bitwise identical while the diagonal's gather becomes a sequential
-//!   `x[i]` access.
-//! * **sliced** — a SELL-like sliced layout: groups of [`LANES`] consecutive
-//!   rows store their entries lane-interleaved and padded to the slice
-//!   width, so the inner loop advances all lanes in lock-step with
-//!   independent accumulators (breaking the single-accumulator latency
-//!   chain). Rows far longer than average are excluded from slices (they
-//!   would explode the padding) and handled row-wise.
+//! * **sliced** — a SELL-C-σ layout (Kreutzer et al., SIAM J. Sci. Comput.
+//!   2014): groups of [`LANES`] consecutive rows store their entries
+//!   lane-interleaved and padded to the slice width, so the inner loop
+//!   advances all lanes in lock-step with independent accumulators
+//!   (breaking the single-accumulator latency chain). Rows far longer than
+//!   average are excluded from slices (they would explode the padding) and
+//!   handled row-wise.
 //!
 //! ## Backends
 //!
-//! The shortrow and sliced kernels additionally come in explicit-SIMD
-//! *backends* (x86_64 SSE2/AVX2 intrinsics behind the `simd` cargo feature
-//! and runtime CPUID dispatch — see [`crate::simd`]): the sliced layout's
-//! lanes are whole independent rows, so its vector variant is the SELL
-//! strategy executed for real (vector gathers for `x`, lane-parallel
-//! multiply/add, blend-predicated ragged spans); the shortrow variant
-//! vectorizes each row's gathers and multiplies and folds the products
-//! back **in index order** (a horizontal reduction, not a tree sum), so
-//! every backend preserves the bitwise contract below. The scalar loops
-//! remain the mandatory fallback, and under an `Auto` backend request the
-//! shortrow kernel deliberately stays scalar — its in-order reduction is
-//! add-latency bound, and the measured grids (`repro kernels`) show the
-//! vector variant losing there.
+//! The sliced kernel additionally comes in explicit-SIMD *backends* (x86_64
+//! SSE2/AVX2 intrinsics behind the `simd` cargo feature and runtime CPUID
+//! dispatch — see [`crate::simd`]): its lanes are whole independent rows,
+//! so the vector variant is the SELL strategy executed for real (vector
+//! gathers for `x`, lane-parallel multiply/add, blend-predicated ragged
+//! spans) and every row still accumulates in CSR order. The scalar loops
+//! remain the mandatory fallback. Generic and shortrow always run scalar:
+//! a vectorized shortrow must fold each row's products back in index order,
+//! which is add-latency bound, and measured slower than the scalar loop on
+//! every ablated matrix (`repro kernels`).
 //!
 //! ## Bitwise identity
 //!
@@ -99,8 +92,6 @@ pub enum KernelChoice {
     Generic,
     /// Force the unrolled short-row kernel.
     ShortRow,
-    /// Force the diagonal-split kernel.
-    DiagSplit,
     /// Force the sliced (SELL-like) layout.
     Sliced,
 }
@@ -112,22 +103,20 @@ impl KernelChoice {
             KernelChoice::Auto => None,
             KernelChoice::Generic => Some(KernelKind::Generic),
             KernelChoice::ShortRow => Some(KernelKind::ShortRow),
-            KernelChoice::DiagSplit => Some(KernelKind::DiagSplit),
             KernelChoice::Sliced => Some(KernelKind::Sliced),
         }
     }
 
     /// Parses the CLI/spec spelling (`auto`, `generic`, `shortrow`,
-    /// `diagsplit`, `sliced`).
+    /// `sliced`).
     pub fn parse(s: &str) -> Result<KernelChoice, String> {
         match s.to_ascii_lowercase().as_str() {
             "auto" => Ok(KernelChoice::Auto),
             "generic" => Ok(KernelChoice::Generic),
             "shortrow" => Ok(KernelChoice::ShortRow),
-            "diagsplit" => Ok(KernelChoice::DiagSplit),
             "sliced" => Ok(KernelChoice::Sliced),
             other => Err(format!(
-                "unknown kernel {other:?} (expected auto/generic/shortrow/diagsplit/sliced)"
+                "unknown kernel {other:?} (expected auto/generic/shortrow/sliced)"
             )),
         }
     }
@@ -140,8 +129,6 @@ pub enum KernelKind {
     Generic,
     /// Unchecked-indexing CSR loop.
     ShortRow,
-    /// Dense diagonal + split off-diagonal CSR.
-    DiagSplit,
     /// Lane-interleaved sliced layout.
     Sliced,
 }
@@ -152,7 +139,6 @@ impl KernelKind {
         match self {
             KernelKind::Generic => "generic",
             KernelKind::ShortRow => "shortrow",
-            KernelKind::DiagSplit => "diagsplit",
             KernelKind::Sliced => "sliced",
         }
     }
@@ -176,24 +162,19 @@ pub enum IndexWidthChoice {
     Auto,
     /// Prefer `u16` indices; widened to `u32` above 65 535 columns.
     W16,
-    /// Use `u32` indices (the CSR storage width).
+    /// Use `u32` indices (the CSR storage width): no compaction.
     W32,
-    /// Disable index compaction entirely. CSR stores `u32`, so this resolves
-    /// to 32-bit arrays; accepted for forward compatibility and as the CI
-    /// "no compaction" baseline.
-    W64,
 }
 
 impl IndexWidthChoice {
-    /// Parses the CLI/spec spelling (`auto`, `16`, `32`, `64`).
+    /// Parses the CLI/spec spelling (`auto`, `16`, `32`).
     pub fn parse(s: &str) -> Result<IndexWidthChoice, String> {
         match s.to_ascii_lowercase().as_str() {
             "auto" => Ok(IndexWidthChoice::Auto),
             "16" => Ok(IndexWidthChoice::W16),
             "32" => Ok(IndexWidthChoice::W32),
-            "64" => Ok(IndexWidthChoice::W64),
             other => Err(format!(
-                "unknown index width {other:?} (expected auto/16/32/64)"
+                "unknown index width {other:?} (expected auto/16/32)"
             )),
         }
     }
@@ -204,7 +185,6 @@ impl IndexWidthChoice {
             IndexWidthChoice::Auto => "auto",
             IndexWidthChoice::W16 => "16",
             IndexWidthChoice::W32 => "32",
-            IndexWidthChoice::W64 => "64",
         }
     }
 
@@ -214,7 +194,7 @@ impl IndexWidthChoice {
         let fits = ncols <= u16::MAX as usize;
         match self {
             IndexWidthChoice::Auto | IndexWidthChoice::W16 => fits,
-            IndexWidthChoice::W32 | IndexWidthChoice::W64 => false,
+            IndexWidthChoice::W32 => false,
         }
     }
 }
@@ -248,47 +228,31 @@ pub struct MatrixProfile {
     pub ncols: usize,
     /// Stored entries.
     pub nnz: usize,
-    /// Longest row (diagnostic; selection keys on the short-row fraction
-    /// and the sliced fill, not this).
+    /// Longest row (diagnostic; selection keys on the short-row fraction).
     pub max_row_len: usize,
-    /// Mean row length.
+    /// Mean row length (diagnostic).
     pub mean_row_len: f64,
     /// Fraction of rows with at most 16 entries.
     pub short_row_frac: f64,
-    /// Fraction of diagonal positions holding a stored entry (square part).
-    pub diag_density: f64,
-    /// Maximum `|i − j|` over stored entries (diagnostic — reported by the
-    /// ablation tooling; [`MatrixProfile::select`] does not consume it).
-    pub bandwidth: usize,
     /// Stored entries of sliceable (non-tail) rows divided by the padded
-    /// slice cells they would occupy — 1.0 means a perfectly uniform layout.
+    /// slice cells they would occupy — 1.0 means a perfectly uniform layout
+    /// (diagnostic, reported by the ablation tooling).
     pub sliced_fill: f64,
 }
 
 impl MatrixProfile {
-    /// Analyzes `m` in one `O(nrows + nnz)` pass.
+    /// Analyzes `m` in one `O(nrows)` pass over its row pointers.
     pub fn analyze(m: &CsrMatrix) -> MatrixProfile {
         let n = m.nrows();
         let row_ptr = m.row_ptr();
-        let col_idx = m.col_idx();
         let nnz = m.nnz();
         let mut max_row_len = 0usize;
         let mut short_rows = 0usize;
-        let mut diag_entries = 0usize;
-        let mut bandwidth = 0usize;
         for i in 0..n {
-            let span = row_ptr[i]..row_ptr[i + 1];
-            let len = span.len();
+            let len = row_ptr[i + 1] - row_ptr[i];
             max_row_len = max_row_len.max(len);
             if len <= SHORT_ROW_LEN {
                 short_rows += 1;
-            }
-            for &c in &col_idx[span] {
-                let j = c as usize;
-                bandwidth = bandwidth.max(i.abs_diff(j));
-                if j == i {
-                    diag_entries += 1;
-                }
             }
         }
         // Simulated sliced layout: padded cells if consecutive LANES-rows
@@ -308,7 +272,6 @@ impl MatrixProfile {
             }
             padded_cells += width * LANES;
         }
-        let diag_positions = n.min(m.ncols());
         MatrixProfile {
             nrows: n,
             ncols: m.ncols(),
@@ -316,8 +279,6 @@ impl MatrixProfile {
             max_row_len,
             mean_row_len: nnz as f64 / n.max(1) as f64,
             short_row_frac: short_rows as f64 / n.max(1) as f64,
-            diag_density: diag_entries as f64 / diag_positions.max(1) as f64,
-            bandwidth,
             sliced_fill: sliceable_nnz as f64 / padded_cells.max(1) as f64,
         }
     }
@@ -326,23 +287,20 @@ impl MatrixProfile {
     ///
     /// The order encodes the measured wins on this workspace's models
     /// (`repro kernels`): mostly-short rows — the shape every RAID-style
-    /// generator produces — profit most from the validated unchecked loop
-    /// (1.6–1.7× over generic on the paper's G=20/40 grid); near-uniform
-    /// row lengths make the sliced layout's lock-step lanes the next best;
-    /// a materialized diagonal on long ragged rows still pays for the split
-    /// kernel. Anything else — and anything too small to amortize a layout
-    /// — stays generic.
+    /// generator produces — take the validated unchecked loop (≈ 1.9× over
+    /// generic on the paper's G=20/40 grid); everything else takes the
+    /// sliced layout, whose fill guard demotes badly padded slices to the
+    /// unchecked row loop (2.4× over generic on the long-ragged `diagdense`
+    /// matrix, the fastest kernel there).
+    /// Generic is the slowest kernel on every ablated matrix and is kept
+    /// only for matrices too small to amortize a layout.
     pub fn select(&self) -> KernelKind {
         if self.nnz < MIN_KERNEL_NNZ || self.nrows < LANES {
             KernelKind::Generic
         } else if self.short_row_frac >= 0.85 {
             KernelKind::ShortRow
-        } else if self.sliced_fill >= 0.9 && self.mean_row_len >= 3.0 {
-            KernelKind::Sliced
-        } else if self.nrows == self.ncols && self.diag_density >= 0.95 {
-            KernelKind::DiagSplit
         } else {
-            KernelKind::Generic
+            KernelKind::Sliced
         }
     }
 }
@@ -381,9 +339,9 @@ impl PackedIdx {
     }
 }
 
-/// Scalar access to a column index of either width. The generic loops
-/// monomorphize over this; the AVX2 loops (which cannot be generic under
-/// `#[target_feature]`) are stamped out per width by macro instead.
+/// Scalar access to a column index of either width. The scalar and SSE2
+/// loops monomorphize over this; the AVX2 loops (which cannot be generic
+/// under `#[target_feature]`) are stamped out per width by macro instead.
 trait IdxVal: Copy {
     fn idx(self) -> usize;
 }
@@ -399,214 +357,6 @@ impl IdxVal for u16 {
     #[inline(always)]
     fn idx(self) -> usize {
         self as usize
-    }
-}
-
-/// Diagonal-split layout: off-diagonal CSR plus a dense diagonal, with the
-/// per-row lower-entry count so accumulation replays the CSR column order.
-#[derive(Clone, Debug)]
-struct DiagSplitData {
-    /// Off-diagonal row spans.
-    row_ptr: Vec<usize>,
-    /// Per-row lower-entry count (entries with `j < i`).
-    lower: Vec<u32>,
-    /// Per-row select mask: all-ones when the row stores a diagonal entry,
-    /// zero otherwise — consumed branchlessly (see `mul_rows`).
-    dmask: Vec<u64>,
-    cols: Vec<u32>,
-    vals: Vec<f64>,
-    diag: Vec<f64>,
-}
-
-impl DiagSplitData {
-    fn build(m: &CsrMatrix) -> Option<DiagSplitData> {
-        let n = m.nrows();
-        if m.ncols() == 0 {
-            // Degenerate: `mul_rows`' branchless select gathers `x[0]` for
-            // rows without a diagonal entry, which needs `x` non-empty.
-            return None;
-        }
-        let row_ptr_src = m.row_ptr();
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut lower = Vec::with_capacity(n);
-        let mut dmask = Vec::with_capacity(n);
-        let mut cols = Vec::with_capacity(m.nnz());
-        let mut vals = Vec::with_capacity(m.nnz());
-        let mut diag = vec![0.0; n];
-        row_ptr.push(0);
-        for i in 0..n {
-            // Rows this long cannot happen through CooBuilder, but `lower`
-            // must never truncate.
-            if row_ptr_src[i + 1] - row_ptr_src[i] > u32::MAX as usize {
-                return None;
-            }
-            let mut lo = 0u32;
-            let mut mask = 0u64;
-            for (j, v) in m.row(i) {
-                if j == i {
-                    diag[i] = v;
-                    mask = u64::MAX;
-                } else {
-                    if j < i {
-                        lo += 1;
-                    }
-                    cols.push(j as u32);
-                    vals.push(v);
-                }
-            }
-            lower.push(lo);
-            dmask.push(mask);
-            row_ptr.push(cols.len());
-        }
-        Some(DiagSplitData {
-            row_ptr,
-            lower,
-            dmask,
-            cols,
-            vals,
-            diag,
-        })
-    }
-
-    /// Refills the embedded values/diagonal from `m` — a matrix with the
-    /// identical sparsity structure — reusing every structural array
-    /// (`row_ptr`/`lower`/`dmask`/`cols`) untouched. Replays `build`'s row
-    /// iteration, so filled positions correspond entry-for-entry.
-    fn rebind(&self, m: &CsrMatrix) -> DiagSplitData {
-        let mut d = self.clone();
-        let mut k = 0usize;
-        for i in 0..m.nrows() {
-            let mut diag = 0.0;
-            for (j, v) in m.row(i) {
-                if j == i {
-                    diag = v;
-                } else {
-                    d.vals[k] = v;
-                    k += 1;
-                }
-            }
-            d.diag[i] = diag;
-        }
-        debug_assert_eq!(k, d.vals.len(), "rebind matrix has a different pattern");
-        d
-    }
-
-    /// # Safety
-    /// Requires `cols[k] < x.len()` for all stored entries and
-    /// `range.end <= diag.len() == x-compatible nrows` (validated by
-    /// [`Kernel::build`] and `mul_rows`' asserts).
-    ///
-    /// The per-row body is branchless on purpose: the original per-row
-    /// `if has_diag` flag branch measurably dragged this kernel below its
-    /// unchecked-CSR prototype, so the diagonal contribution is now a
-    /// bitwise select — `acc + diag[i]·x[i]` is always computed, and the
-    /// row's mask picks the updated or the untouched accumulator. Rows
-    /// without a stored diagonal keep their exact accumulator bits (the
-    /// discarded product may be `NaN`/`±0.0`-polluting for non-finite `x`;
-    /// the select never lets it reach the result), so the lower → diagonal
-    /// → upper accumulation order stays bitwise identical to serial CSR.
-    unsafe fn mul_rows(&self, x: &[f64], out: &mut [f64], range: std::ops::Range<usize>) {
-        unsafe {
-            for (local, i) in range.enumerate() {
-                let s = *self.row_ptr.get_unchecked(i);
-                let e = *self.row_ptr.get_unchecked(i + 1);
-                let lo = s + *self.lower.get_unchecked(i) as usize;
-                let mut acc = 0.0;
-                for k in s..lo {
-                    acc += self.vals.get_unchecked(k)
-                        * x.get_unchecked(*self.cols.get_unchecked(k) as usize);
-                }
-                let mask = *self.dmask.get_unchecked(i);
-                // Masked gather index: `i` when the row stores a diagonal
-                // entry (then `i < ncols` necessarily), else 0 — always in
-                // bounds even for non-square matrices, and the product is
-                // discarded by the select below anyway.
-                let di = i & mask as usize;
-                let with_diag = acc + self.diag.get_unchecked(i) * x.get_unchecked(di);
-                acc = f64::from_bits((with_diag.to_bits() & mask) | (acc.to_bits() & !mask));
-                for k in lo..e {
-                    acc += self.vals.get_unchecked(k)
-                        * x.get_unchecked(*self.cols.get_unchecked(k) as usize);
-                }
-                *out.get_unchecked_mut(local) = acc;
-            }
-        }
-    }
-
-    /// Blocked variant of [`DiagSplitData::mul_rows`]: `k` interleaved
-    /// right-hand sides per matrix pass, each column replaying the exact
-    /// lower → masked-diagonal → upper accumulation (including the bitwise
-    /// select), so column `j` matches the single-vector kernel bit for bit.
-    ///
-    /// # Safety
-    /// Contract of [`DiagSplitData::mul_rows`], with `x`/`out` holding `k`
-    /// interleaved columns.
-    unsafe fn mul_rows_block(
-        &self,
-        x: &[f64],
-        out: &mut [f64],
-        range: std::ops::Range<usize>,
-        k: usize,
-    ) {
-        // Monomorphized per width (see `mul_rows_block_rowwise`): the
-        // const-size accumulator avoids a per-row memset/memcpy pair.
-        unsafe {
-            match k {
-                1 => self.mul_rows_block_k::<1>(x, out, range),
-                2 => self.mul_rows_block_k::<2>(x, out, range),
-                3 => self.mul_rows_block_k::<3>(x, out, range),
-                4 => self.mul_rows_block_k::<4>(x, out, range),
-                5 => self.mul_rows_block_k::<5>(x, out, range),
-                6 => self.mul_rows_block_k::<6>(x, out, range),
-                7 => self.mul_rows_block_k::<7>(x, out, range),
-                8 => self.mul_rows_block_k::<8>(x, out, range),
-                _ => unreachable!("rhs block validated against MAX_RHS_BLOCK"),
-            }
-        }
-    }
-
-    /// Const-width body of [`DiagSplitData::mul_rows_block`].
-    ///
-    /// # Safety
-    /// Contract of [`DiagSplitData::mul_rows_block`] with `k = K`.
-    unsafe fn mul_rows_block_k<const K: usize>(
-        &self,
-        x: &[f64],
-        out: &mut [f64],
-        range: std::ops::Range<usize>,
-    ) {
-        unsafe {
-            for (local, i) in range.enumerate() {
-                let s = *self.row_ptr.get_unchecked(i);
-                let e = *self.row_ptr.get_unchecked(i + 1);
-                let lo = s + *self.lower.get_unchecked(i) as usize;
-                let mut acc = [0.0f64; K];
-                for kk in s..lo {
-                    let v = *self.vals.get_unchecked(kk);
-                    let c = *self.cols.get_unchecked(kk) as usize * K;
-                    for (j, a) in acc.iter_mut().enumerate() {
-                        *a += v * x.get_unchecked(c + j);
-                    }
-                }
-                let mask = *self.dmask.get_unchecked(i);
-                let di = (i & mask as usize) * K;
-                let d = *self.diag.get_unchecked(i);
-                for (j, a) in acc.iter_mut().enumerate() {
-                    let with_diag = *a + d * x.get_unchecked(di + j);
-                    *a = f64::from_bits((with_diag.to_bits() & mask) | (a.to_bits() & !mask));
-                }
-                for kk in lo..e {
-                    let v = *self.vals.get_unchecked(kk);
-                    let c = *self.cols.get_unchecked(kk) as usize * K;
-                    for (j, a) in acc.iter_mut().enumerate() {
-                        *a += v * x.get_unchecked(c + j);
-                    }
-                }
-                for (j, a) in acc.iter().enumerate() {
-                    *out.get_unchecked_mut(local * K + j) = *a;
-                }
-            }
-        }
     }
 }
 
@@ -837,10 +587,12 @@ impl SlicedData {
     }
 
     /// # Safety
-    /// Same contract as [`DiagSplitData::mul_rows`]; additionally `m` must
-    /// be the matrix this layout was built from, and `backend` must be
-    /// resolved ([`crate::simd::resolve`]) so a SIMD variant only runs on
-    /// hardware that supports it.
+    /// Requires `col < x.len()` for every stored entry and `range.end <=
+    /// nrows`, `out.len() == range.len()` (validated by [`Kernel::build`]
+    /// and `mul_rows`' asserts); additionally `m` must be the matrix this
+    /// layout was built from, and `backend` must be resolved
+    /// ([`crate::simd::resolve`]) so a SIMD variant only runs on hardware
+    /// that supports it.
     unsafe fn mul_rows(
         &self,
         m: &CsrMatrix,
@@ -1560,15 +1312,9 @@ impl SlicedData {
     }
 }
 
-/// Safe generic CSR loop — the reference semantics every other kernel (and
-/// the spawn baseline in `parallel.rs`) must match bitwise. The single
-/// generic implementation in the crate.
-pub(crate) fn mul_rows_generic(
-    m: &CsrMatrix,
-    x: &[f64],
-    out: &mut [f64],
-    range: std::ops::Range<usize>,
-) {
+/// Safe generic CSR loop — the reference semantics every other kernel must
+/// match bitwise.
+fn mul_rows_generic(m: &CsrMatrix, x: &[f64], out: &mut [f64], range: std::ops::Range<usize>) {
     let row_ptr = m.row_ptr();
     let col_idx = m.col_idx();
     let values = m.values();
@@ -1627,7 +1373,7 @@ unsafe fn mul_rows_rowwise_idx<I: IdxVal>(
 /// interleaved right-hand sides, each output column accumulated with its
 /// own accumulator in the row's CSR entry order (column `j` is bitwise
 /// equal to [`mul_rows_generic`] on column `j` alone).
-pub(crate) fn mul_rows_block_generic(
+fn mul_rows_block_generic(
     m: &CsrMatrix,
     x: &[f64],
     out: &mut [f64],
@@ -1755,244 +1501,6 @@ unsafe fn block_rowwise_mat(
     unsafe { mul_rows_block_rowwise(m.row_ptr(), m.col_idx(), m.values(), x, out, range, k) }
 }
 
-/// AVX2 blocked row-wise loop (`k % 4 == 0`): per entry, broadcast the
-/// value and multiply against contiguous 4-wide blocks of the interleaved
-/// `x` — the blocked layout turns every gather into a plain vector load.
-/// Per-column accumulation stays in CSR entry order (separate mul/add, no
-/// FMA), so each column is bitwise identical to the scalar loop.
-///
-/// # Safety
-/// Contract of [`mul_rows_block_rowwise`], plus AVX2 must be available
-/// (guaranteed by `resolve()`).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn mul_rows_block_rowwise_avx2(
-    m: &CsrMatrix,
-    x: &[f64],
-    out: &mut [f64],
-    range: std::ops::Range<usize>,
-    k: usize,
-) {
-    // Monomorphized per 4-wide block count (`[T; K / 4]` needs unstable
-    // const generics, so KB is its own parameter).
-    unsafe {
-        match k / 4 {
-            1 => mul_rows_block_rowwise_avx2_k::<1>(m, x, out, range),
-            2 => mul_rows_block_rowwise_avx2_k::<2>(m, x, out, range),
-            _ => unreachable!("rhs block validated against MAX_RHS_BLOCK"),
-        }
-    }
-}
-
-/// Const-width body of [`mul_rows_block_rowwise_avx2`]; `KB = k / 4`.
-///
-/// # Safety
-/// Contract of [`mul_rows_block_rowwise`] with `k = 4 * KB`, plus AVX2
-/// must be available (guaranteed by `resolve()`).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn mul_rows_block_rowwise_avx2_k<const KB: usize>(
-    m: &CsrMatrix,
-    x: &[f64],
-    out: &mut [f64],
-    range: std::ops::Range<usize>,
-) {
-    use core::arch::x86_64::*;
-    let row_ptr = m.row_ptr();
-    let col_idx = m.col_idx();
-    let values = m.values();
-    unsafe {
-        let xp = x.as_ptr();
-        for (local, i) in range.enumerate() {
-            let s = *row_ptr.get_unchecked(i);
-            let e = *row_ptr.get_unchecked(i + 1);
-            let mut acc = [_mm256_setzero_pd(); MAX_RHS_BLOCK / 4];
-            for kk in s..e {
-                let v = _mm256_set1_pd(*values.get_unchecked(kk));
-                let c = *col_idx.get_unchecked(kk) as usize * (4 * KB);
-                for b in 0..KB {
-                    let xv = _mm256_loadu_pd(xp.add(c + 4 * b));
-                    let a = acc.get_unchecked_mut(b);
-                    *a = _mm256_add_pd(*a, _mm256_mul_pd(v, xv));
-                }
-            }
-            for b in 0..KB {
-                _mm256_storeu_pd(
-                    out.as_mut_ptr().add(local * (4 * KB) + 4 * b),
-                    *acc.get_unchecked(b),
-                );
-            }
-        }
-    }
-}
-
-/// SSE2 blocked row-wise loop (`k % 2 == 0`), same strategy two lanes at a
-/// time.
-///
-/// # Safety
-/// Contract of [`mul_rows_block_rowwise`]. SSE2 is x86_64 baseline.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-unsafe fn mul_rows_block_rowwise_sse2(
-    m: &CsrMatrix,
-    x: &[f64],
-    out: &mut [f64],
-    range: std::ops::Range<usize>,
-    k: usize,
-) {
-    // Monomorphized per 2-wide block count (`[T; K / 2]` needs unstable
-    // const generics, so KB is its own parameter).
-    unsafe {
-        match k / 2 {
-            1 => mul_rows_block_rowwise_sse2_k::<1>(m, x, out, range),
-            2 => mul_rows_block_rowwise_sse2_k::<2>(m, x, out, range),
-            3 => mul_rows_block_rowwise_sse2_k::<3>(m, x, out, range),
-            4 => mul_rows_block_rowwise_sse2_k::<4>(m, x, out, range),
-            _ => unreachable!("rhs block validated against MAX_RHS_BLOCK"),
-        }
-    }
-}
-
-/// Const-width body of [`mul_rows_block_rowwise_sse2`]; `KB = k / 2`.
-///
-/// # Safety
-/// Contract of [`mul_rows_block_rowwise`] with `k = 2 * KB`. SSE2 is
-/// x86_64 baseline.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-unsafe fn mul_rows_block_rowwise_sse2_k<const KB: usize>(
-    m: &CsrMatrix,
-    x: &[f64],
-    out: &mut [f64],
-    range: std::ops::Range<usize>,
-) {
-    use core::arch::x86_64::*;
-    let row_ptr = m.row_ptr();
-    let col_idx = m.col_idx();
-    let values = m.values();
-    unsafe {
-        let xp = x.as_ptr();
-        for (local, i) in range.enumerate() {
-            let s = *row_ptr.get_unchecked(i);
-            let e = *row_ptr.get_unchecked(i + 1);
-            let mut acc = [_mm_setzero_pd(); MAX_RHS_BLOCK / 2];
-            for kk in s..e {
-                let v = _mm_set1_pd(*values.get_unchecked(kk));
-                let c = *col_idx.get_unchecked(kk) as usize * (2 * KB);
-                for b in 0..KB {
-                    let xv = _mm_loadu_pd(xp.add(c + 2 * b));
-                    let a = acc.get_unchecked_mut(b);
-                    *a = _mm_add_pd(*a, _mm_mul_pd(v, xv));
-                }
-            }
-            for b in 0..KB {
-                _mm_storeu_pd(
-                    out.as_mut_ptr().add(local * (2 * KB) + 2 * b),
-                    *acc.get_unchecked(b),
-                );
-            }
-        }
-    }
-}
-
-/// AVX2 short-row kernel: each row's products are computed four at a time
-/// (vector gather + multiply), then folded into the row accumulator **one
-/// by one in index order** — the horizontal reduction replays the serial
-/// add sequence exactly, so only the gathers and multiplies go wide and
-/// the result stays bitwise identical to serial CSR.
-///
-/// # Safety
-/// Contract of [`mul_rows_unchecked`], plus AVX2 must be available
-/// (guaranteed by `resolve()`).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn mul_rows_shortrow_avx2(
-    m: &CsrMatrix,
-    x: &[f64],
-    out: &mut [f64],
-    range: std::ops::Range<usize>,
-) {
-    use core::arch::x86_64::*;
-    let row_ptr = m.row_ptr();
-    let col_idx = m.col_idx();
-    let values = m.values();
-    unsafe {
-        let xp = x.as_ptr();
-        for (local, i) in range.enumerate() {
-            let s = *row_ptr.get_unchecked(i);
-            let e = *row_ptr.get_unchecked(i + 1);
-            // The row accumulator lives in lane 0 of an xmm register; the
-            // in-order horizontal reduction is add_sd + lane shuffles, so
-            // no product ever round-trips through memory (stack spills
-            // would re-congest the load ports this kernel is bound on).
-            let mut acc = _mm_setzero_pd();
-            let mut k = s;
-            while k + 4 <= e {
-                let c = _mm_loadu_si128(col_idx.as_ptr().add(k) as *const __m128i);
-                let xv = _mm256_i32gather_pd::<8>(xp, c);
-                let v = _mm256_loadu_pd(values.as_ptr().add(k));
-                let p = _mm256_mul_pd(v, xv);
-                // In-order horizontal reduction (NOT a tree sum): the
-                // bitwise-identity contract fixes the add sequence.
-                let plo = _mm256_castpd256_pd128(p);
-                let phi = _mm256_extractf128_pd::<1>(p);
-                acc = _mm_add_sd(acc, plo);
-                acc = _mm_add_sd(acc, _mm_unpackhi_pd(plo, plo));
-                acc = _mm_add_sd(acc, phi);
-                acc = _mm_add_sd(acc, _mm_unpackhi_pd(phi, phi));
-                k += 4;
-            }
-            let mut acc = _mm_cvtsd_f64(acc);
-            while k < e {
-                acc +=
-                    values.get_unchecked(k) * x.get_unchecked(*col_idx.get_unchecked(k) as usize);
-                k += 1;
-            }
-            *out.get_unchecked_mut(local) = acc;
-        }
-    }
-}
-
-/// SSE2 short-row kernel: products two at a time (gathers composed scalar),
-/// folded in index order like the AVX2 variant.
-///
-/// # Safety
-/// Contract of [`mul_rows_unchecked`].
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-unsafe fn mul_rows_shortrow_sse2(
-    m: &CsrMatrix,
-    x: &[f64],
-    out: &mut [f64],
-    range: std::ops::Range<usize>,
-) {
-    use core::arch::x86_64::*;
-    let row_ptr = m.row_ptr();
-    let col_idx = m.col_idx();
-    let values = m.values();
-    unsafe {
-        for (local, i) in range.enumerate() {
-            let s = *row_ptr.get_unchecked(i);
-            let e = *row_ptr.get_unchecked(i + 1);
-            let mut acc = _mm_setzero_pd();
-            let mut k = s;
-            while k + 2 <= e {
-                let xv = gather2(x.as_ptr(), col_idx.as_ptr().add(k));
-                let v = _mm_loadu_pd(values.as_ptr().add(k));
-                let p = _mm_mul_pd(v, xv);
-                // In-order register-only reduction, as in the AVX2 variant.
-                acc = _mm_add_sd(acc, p);
-                acc = _mm_add_sd(acc, _mm_unpackhi_pd(p, p));
-                k += 2;
-            }
-            let mut acc = _mm_cvtsd_f64(acc);
-            while k < e {
-                acc +=
-                    values.get_unchecked(k) * x.get_unchecked(*col_idx.get_unchecked(k) as usize);
-                k += 1;
-            }
-            *out.get_unchecked_mut(local) = acc;
-        }
-    }
-}
-
 #[derive(Clone, Debug)]
 enum KernelData {
     Plain,
@@ -2000,7 +1508,6 @@ enum KernelData {
     /// with a narrow index width). Embeds structure, so plans holding it
     /// record a content signature like the value-embedding layouts.
     ShortIdx(Vec<u16>),
-    Diag(DiagSplitData),
     Sliced(SlicedData),
 }
 
@@ -2012,11 +1519,10 @@ enum KernelData {
 pub struct Kernel {
     kind: KernelKind,
     data: KernelData,
-    /// Resolved execution backend. Always [`Backend::Scalar`] for the
-    /// generic kernel (the bitwise ground truth stays intrinsics-free) and
-    /// for diagsplit (its win is the branchless dense-diagonal access, not
-    /// lane parallelism); shortrow and sliced honor the request up to what
-    /// the CPU supports.
+    /// Resolved execution backend. Always [`Backend::Scalar`] for generic
+    /// (the bitwise ground truth stays intrinsics-free) and shortrow (its
+    /// vector variant measured slower); sliced honors the request up to
+    /// what the CPU supports.
     backend: Backend,
     nrows: usize,
     ncols: usize,
@@ -2066,38 +1572,17 @@ impl Kernel {
             kind
         };
         let compact = width.wants_u16(m.ncols());
-        let (kind, data) = match kind {
-            KernelKind::Generic => (kind, KernelData::Plain),
-            KernelKind::ShortRow => {
-                if compact {
-                    let idx: Vec<u16> = m.col_idx().iter().map(|&c| c as u16).collect();
-                    (kind, KernelData::ShortIdx(idx))
-                } else {
-                    (kind, KernelData::Plain)
-                }
+        let data = match kind {
+            KernelKind::Generic => KernelData::Plain,
+            KernelKind::ShortRow if compact => {
+                KernelData::ShortIdx(m.col_idx().iter().map(|&c| c as u16).collect())
             }
-            KernelKind::DiagSplit => match DiagSplitData::build(m) {
-                Some(d) => (kind, KernelData::Diag(d)),
-                None => (KernelKind::Generic, KernelData::Plain),
-            },
-            KernelKind::Sliced => (
-                kind,
-                KernelData::Sliced(SlicedData::build(m, compact, sort)),
-            ),
+            KernelKind::ShortRow => KernelData::Plain,
+            KernelKind::Sliced => KernelData::Sliced(SlicedData::build(m, compact, sort)),
         };
         let backend = match kind {
             KernelKind::Sliced => simd::resolve(backend),
-            // Measured policy (repro kernels): the short-row kernel's
-            // bitwise contract forces an in-order horizontal reduction, so
-            // its vector variant is add-latency bound and *loses* to the
-            // scalar loop on the grids this workspace targets — Auto keeps
-            // it scalar (exactly how kernel selection encodes measured
-            // wins). An explicit request still forces the vector variant.
-            KernelKind::ShortRow => match backend {
-                BackendChoice::Auto => Backend::Scalar,
-                forced => simd::resolve(forced),
-            },
-            KernelKind::Generic | KernelKind::DiagSplit => Backend::Scalar,
+            KernelKind::Generic | KernelKind::ShortRow => Backend::Scalar,
         };
         // The AVX2 gathers consume column indices as *signed* 32-bit lanes
         // (`_mm256_i32gather_pd` sign-extends), so a column index ≥ 2³¹
@@ -2129,8 +1614,8 @@ impl Kernel {
 
     /// Rebinds this kernel to `m` — a matrix with the **identical sparsity
     /// structure** but new values. Structure-only layouts (the shortrow
-    /// `u16` index copy) are shared unchanged; value-embedding layouts
-    /// (diagsplit, sliced) are refilled in place of a rebuild — no profile
+    /// `u16` index copy) are shared unchanged; the value-embedding sliced
+    /// layout is refilled in place of a rebuild — no profile
     /// re-analysis, no SELL-σ re-sort decision, no index re-compaction. The
     /// donor's resolved kind/backend/width/sort carry over verbatim, which
     /// is exactly right: every one of those decisions is a deterministic
@@ -2149,7 +1634,6 @@ impl Kernel {
         let data = match &self.data {
             KernelData::Plain => KernelData::Plain,
             KernelData::ShortIdx(idx) => KernelData::ShortIdx(idx.clone()),
-            KernelData::Diag(d) => KernelData::Diag(d.rebind(m)),
             KernelData::Sliced(s) => KernelData::Sliced(s.rebind(m)),
         };
         Kernel {
@@ -2202,14 +1686,6 @@ impl Kernel {
         match &self.data {
             KernelData::Plain => 0,
             KernelData::ShortIdx(idx) => idx.capacity() * std::mem::size_of::<u16>(),
-            KernelData::Diag(d) => {
-                d.row_ptr.capacity() * W
-                    + d.lower.capacity() * U
-                    + d.dmask.capacity() * std::mem::size_of::<u64>()
-                    + d.cols.capacity() * U
-                    + d.vals.capacity() * F
-                    + d.diag.capacity() * F
-            }
             KernelData::Sliced(s) => {
                 s.slice_ptr.capacity() * W
                     + s.min_len.capacity() * U
@@ -2244,31 +1720,15 @@ impl Kernel {
         match &self.data {
             KernelData::Plain => match self.kind {
                 KernelKind::Generic => mul_rows_generic(m, x, out, range),
-                // SAFETY: columns validated in `build`, bounds asserted
-                // above; `self.backend` was resolved against the CPU.
-                _ => match self.backend {
-                    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-                    Backend::Avx2 => unsafe { mul_rows_shortrow_avx2(m, x, out, range) },
-                    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-                    Backend::Sse2 => unsafe { mul_rows_shortrow_sse2(m, x, out, range) },
-                    _ => unsafe { mul_rows_unchecked(m, x, out, range) },
-                },
+                // SAFETY: columns validated in `build`, bounds asserted above.
+                _ => unsafe { mul_rows_unchecked(m, x, out, range) },
             },
-            // Compact shortrow: the scalar loop streams the `u16` copy
-            // (half the index bytes — and scalar is shortrow's measured
-            // Auto policy); the SIMD variants keep their vector index
-            // loads on the matrix's own `u32` array. Bitwise identical
-            // either way — indices are exact.
+            // Compact shortrow streams the `u16` copy (half the index
+            // bytes); indices are exact, so the bits are unchanged.
             // SAFETY: columns validated in `build`, bounds asserted above.
-            KernelData::ShortIdx(c) => match self.backend {
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-                Backend::Avx2 => unsafe { mul_rows_shortrow_avx2(m, x, out, range) },
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-                Backend::Sse2 => unsafe { mul_rows_shortrow_sse2(m, x, out, range) },
-                _ => unsafe { mul_rows_rowwise_idx(m.row_ptr(), c, m.values(), x, out, range) },
+            KernelData::ShortIdx(c) => unsafe {
+                mul_rows_rowwise_idx(m.row_ptr(), c, m.values(), x, out, range)
             },
-            // SAFETY: columns validated in `build`, bounds asserted above.
-            KernelData::Diag(d) => unsafe { d.mul_rows(x, out, range) },
             // SAFETY: columns validated in `build`, bounds asserted above;
             // `self.backend` was resolved against the CPU.
             KernelData::Sliced(s) => unsafe { s.mul_rows(m, x, out, range, self.backend) },
@@ -2309,52 +1769,16 @@ impl Kernel {
         match &self.data {
             KernelData::Plain => match self.kind {
                 KernelKind::Generic => mul_rows_block_generic(m, x, out, range, k),
-                // SAFETY: columns validated in `build`, bounds asserted
-                // above; `self.backend` was resolved against the CPU.
-                _ => unsafe { self.block_rowwise_backend(m, x, out, range, k) },
+                // SAFETY: columns validated in `build`, bounds asserted above.
+                _ => unsafe { block_rowwise_mat(m, x, out, range, k) },
             },
             // SAFETY: columns validated in `build`, bounds asserted above.
-            KernelData::ShortIdx(c) => match self.backend {
-                Backend::Scalar => unsafe {
-                    mul_rows_block_rowwise(m.row_ptr(), c, m.values(), x, out, range, k)
-                },
-                _ => unsafe { self.block_rowwise_backend(m, x, out, range, k) },
+            KernelData::ShortIdx(c) => unsafe {
+                mul_rows_block_rowwise(m.row_ptr(), c, m.values(), x, out, range, k)
             },
-            // SAFETY: columns validated in `build`, bounds asserted above.
-            KernelData::Diag(d) => unsafe { d.mul_rows_block(x, out, range, k) },
             // SAFETY: columns validated in `build`, bounds asserted above;
             // `self.backend` was resolved against the CPU.
             KernelData::Sliced(s) => unsafe { s.mul_rows_block(m, x, out, range, k, self.backend) },
-        }
-    }
-
-    /// Blocked row-wise execution honoring the resolved backend: SIMD when
-    /// `k` is divisible by the lane count, scalar otherwise (bitwise
-    /// identical either way).
-    ///
-    /// # Safety
-    /// Contract of [`mul_rows_block_rowwise`]; `self.backend` must be
-    /// resolved against the CPU.
-    unsafe fn block_rowwise_backend(
-        &self,
-        m: &CsrMatrix,
-        x: &[f64],
-        out: &mut [f64],
-        range: std::ops::Range<usize>,
-        k: usize,
-    ) {
-        unsafe {
-            match self.backend {
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-                Backend::Avx2 if k.is_multiple_of(4) => {
-                    mul_rows_block_rowwise_avx2(m, x, out, range, k)
-                }
-                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-                Backend::Avx2 | Backend::Sse2 if k.is_multiple_of(2) => {
-                    mul_rows_block_rowwise_sse2(m, x, out, range, k)
-                }
-                _ => block_rowwise_mat(m, x, out, range, k),
-            }
         }
     }
 }
@@ -2406,10 +1830,9 @@ mod tests {
             .collect()
     }
 
-    const ALL_FORCED: [KernelChoice; 4] = [
+    const ALL_FORCED: [KernelChoice; 3] = [
         KernelChoice::Generic,
         KernelChoice::ShortRow,
-        KernelChoice::DiagSplit,
         KernelChoice::Sliced,
     ];
 
@@ -2640,7 +2063,6 @@ mod tests {
             IndexWidthChoice::Auto,
             IndexWidthChoice::W16,
             IndexWidthChoice::W32,
-            IndexWidthChoice::W64,
         ];
         for sort in [SellSort::Always, SellSort::Never, SellSort::Auto] {
             for width in widths {
@@ -2697,14 +2119,14 @@ mod tests {
             SellSort::Never,
         );
         assert_eq!(k16.index_width(), 16);
-        let k64 = Kernel::build_with(
+        let k32 = Kernel::build_with(
             &narrow,
             KernelChoice::Sliced,
             BackendChoice::Auto,
-            IndexWidthChoice::W64,
+            IndexWidthChoice::W32,
             SellSort::Never,
         );
-        assert_eq!(k64.index_width(), 32, "64 clamps to the CSR width");
+        assert_eq!(k32.index_width(), 32);
         // A matrix wider than u16 can address: forced 16 widens to 32.
         let wide_cols = u16::MAX as usize + 10;
         let mut b = CooBuilder::new(2 * LANES, wide_cols);
@@ -2737,61 +2159,54 @@ mod tests {
         );
         assert_eq!(sr16.index_width(), 16);
         assert!(sr16.embeds_values(), "compact copy must trigger sig checks");
-        let sr64 = Kernel::build_with(
+        let sr32 = Kernel::build_with(
             &narrow,
             KernelChoice::ShortRow,
             BackendChoice::Scalar,
-            IndexWidthChoice::W64,
+            IndexWidthChoice::W32,
             SellSort::Never,
         );
-        assert_eq!(sr64.index_width(), 32);
-        assert!(!sr64.embeds_values());
+        assert_eq!(sr32.index_width(), 32);
+        assert!(!sr32.embeds_values());
         assert!(IndexWidthChoice::parse("16").is_ok());
         assert!(IndexWidthChoice::parse("48").is_err());
+        let err = IndexWidthChoice::parse("64").unwrap_err();
+        assert!(err.contains("auto/16/32"), "{err}");
     }
 
-    /// Backend resolution policy: generic and diagsplit always run scalar;
-    /// shortrow/sliced honor the request up to the hardware ceiling.
+    /// Backend resolution policy: generic and shortrow always run scalar,
+    /// even when a SIMD backend is forced; sliced honors the request up to
+    /// the hardware ceiling.
     #[test]
     fn backend_resolution_respects_kind_and_hardware() {
         let m = dense_to_csr(&pseudo_random(48, 48, 11, 0.4));
         for backend in ALL_BACKENDS {
-            assert_eq!(
-                Kernel::build(&m, KernelChoice::Generic, backend).backend(),
-                Backend::Scalar,
-                "generic is the scalar ground truth"
-            );
-            assert_eq!(
-                Kernel::build(&m, KernelChoice::DiagSplit, backend).backend(),
-                Backend::Scalar,
-                "diagsplit is branchless scalar"
-            );
+            for choice in [KernelChoice::Generic, KernelChoice::ShortRow] {
+                assert_eq!(
+                    Kernel::build(&m, choice, backend).backend(),
+                    Backend::Scalar,
+                    "{choice:?} has no vector variant"
+                );
+            }
         }
-        for choice in [KernelChoice::ShortRow, KernelChoice::Sliced] {
-            assert_eq!(
-                Kernel::build(&m, choice, BackendChoice::Scalar).backend(),
-                Backend::Scalar
-            );
-            assert!(
-                Kernel::build(&m, choice, BackendChoice::Avx2).backend() <= simd::detected(),
-                "forced backends must be clamped to the hardware"
-            );
-        }
-        // Auto: sliced takes the widest backend; shortrow stays scalar
-        // (its in-order reduction is latency-bound — a measured policy).
+        assert_eq!(
+            Kernel::build(&m, KernelChoice::Sliced, BackendChoice::Scalar).backend(),
+            Backend::Scalar
+        );
+        assert!(
+            Kernel::build(&m, KernelChoice::Sliced, BackendChoice::Avx2).backend()
+                <= simd::detected(),
+            "forced backends must be clamped to the hardware"
+        );
         assert_eq!(
             Kernel::build(&m, KernelChoice::Sliced, BackendChoice::Auto).backend(),
             simd::detected()
-        );
-        assert_eq!(
-            Kernel::build(&m, KernelChoice::ShortRow, BackendChoice::Auto).backend(),
-            Backend::Scalar
         );
     }
 
     #[test]
     fn profile_reports_structure() {
-        // Tridiagonal: full diagonal, bandwidth 1, uniform short rows.
+        // Tridiagonal: uniform short rows, two shorter boundary rows.
         let n = 64;
         let mut b = CooBuilder::new(n, n);
         for i in 0..n {
@@ -2804,9 +2219,9 @@ mod tests {
             }
         }
         let p = MatrixProfile::analyze(&b.build());
-        assert_eq!(p.bandwidth, 1);
+        assert_eq!((p.nrows, p.ncols, p.nnz), (n, n, 3 * n - 2));
         assert_eq!(p.max_row_len, 3);
-        assert!((p.diag_density - 1.0).abs() < 1e-12);
+        assert!((p.mean_row_len - (3 * n - 2) as f64 / n as f64).abs() < 1e-12);
         assert_eq!(p.short_row_frac, 1.0);
         assert!(p.sliced_fill > 0.8, "{}", p.sliced_fill);
     }
@@ -2839,9 +2254,9 @@ mod tests {
                 first
             );
         }
-        // Long ragged rows with a dense diagonal => diagsplit: row lengths
-        // alternate far beyond the short-row bound and pad too much for the
-        // sliced layout.
+        // Long ragged rows with a dense diagonal => sliced: row lengths
+        // alternate far beyond the short-row bound, and the sliced layout
+        // beats every other kernel there (`repro kernels`, `diagdense`).
         let n = 512;
         let mut b = CooBuilder::new(n, n);
         for i in 0..n {
@@ -2853,7 +2268,8 @@ mod tests {
         }
         let m = b.build();
         let p = MatrixProfile::analyze(&m);
-        assert_eq!(p.select(), KernelKind::DiagSplit, "{p:?}");
+        assert!(p.sliced_fill < 0.9, "{p:?}");
+        assert_eq!(p.select(), KernelKind::Sliced, "{p:?}");
         // Long uniform rows (no padding waste) => sliced.
         let mut b = CooBuilder::new(n, n);
         for i in 0..n {
@@ -2875,8 +2291,10 @@ mod tests {
                 choice.forced().unwrap()
             );
         }
-        assert!(KernelChoice::parse("DiagSplit").is_ok());
+        assert!(KernelChoice::parse("ShortRow").is_ok());
         assert!(KernelChoice::parse("warp").is_err());
+        let err = KernelChoice::parse("diagsplit").unwrap_err();
+        assert!(err.contains("auto/generic/shortrow/sliced"), "{err}");
     }
 
     #[test]

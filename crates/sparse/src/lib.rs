@@ -14,8 +14,8 @@
 //! [`WorkerPool`] of parked threads — no locks or atomics inside a product,
 //! data-race freedom by construction, and bitwise-identical results to the
 //! serial kernel. Each [`ChunkPlan`] also resolves a structure-adaptive SpMV
-//! [`kernel`] (short-row, diagonal-split, sliced, or generic) from a one-time
-//! analysis of the matrix. The [`Workspace`] arena gives solvers reusable
+//! [`kernel`] (short-row, sliced, or generic) from a one-time analysis of
+//! the matrix. The [`Workspace`] arena gives solvers reusable
 //! scratch vectors so sweep-heavy workloads stop allocating in their inner
 //! loops.
 

@@ -9,30 +9,21 @@
 //!
 //! A [`ChunkPlan`] is more than the row ranges: at construction it analyzes
 //! the matrix once and resolves a structure-adaptive [`Kernel`] (see
-//! [`crate::kernel`]) — generic CSR, unchecked short-row, diagonal-split, or
-//! a sliced SELL-like layout — plus the execution [`Backend`] it runs on
-//! (scalar, or an explicit-SIMD variant under the `simd` feature; see
-//! [`crate::simd`]) — that every chunk then executes. Steppers compute the
-//! plan **once per matrix** and reuse it across millions of products
+//! [`crate::kernel`]) — generic CSR, unchecked short-row, or a sliced
+//! SELL-like layout — plus the execution [`Backend`] it runs on (scalar, or
+//! an explicit-SIMD variant of the sliced kernel under the `simd` feature;
+//! see [`crate::simd`]) — that every chunk then executes. Steppers compute
+//! the plan **once per matrix** and reuse it across millions of products
 //! (`Uniformized::stepper` in `regenr-ctmc` caches plans per
 //! `(chunk count, kernel choice, backend choice)`).
 //!
-//! Two execution strategies share that chunk decomposition:
-//!
-//! * [`CsrMatrix::mul_vec_pooled_into`] — chunks run on a persistent
-//!   [`WorkerPool`] of parked threads; this is what the solvers use (via
-//!   `Uniformized::stepper`), because repeated products pay only a condvar
-//!   wake instead of per-product thread creation.
-//! * [`CsrMatrix::mul_vec_spawn_into`] — the original per-call
-//!   `std::thread::scope` kernel, kept as the baseline the `repro engine`
-//!   target measures the pool against. It derives its chunk bounds from the
-//!   same [`ChunkPlan`] (always with the generic kernel), so the baseline
-//!   and the pooled path can never disagree about the decomposition.
-//!
-//! [`CsrMatrix::mul_vec_parallel_into`] keeps its historical signature and
-//! routes through the shared global pool; small matrices fall back to the
-//! serial path under [`ParallelConfig::min_nnz`] (a pool wake ≫ product cost
-//! there).
+//! There is one execution strategy: [`CsrMatrix::mul_vec_pooled_into`] (and
+//! its blocked sibling [`CsrMatrix::mul_mat_pooled_into`]) runs the chunks
+//! on a persistent [`WorkerPool`] of parked threads, so repeated products
+//! pay only a condvar wake instead of per-product thread creation.
+//! [`CsrMatrix::mul_vec_parallel_into`] is the per-call convenience over
+//! the shared global pool; small matrices fall back to the serial path
+//! under [`ParallelConfig::min_nnz`] (a pool wake ≫ product cost there).
 
 use crate::csr::CsrMatrix;
 use crate::kernel::{IndexWidthChoice, Kernel, KernelChoice, KernelKind, SellSort, MAX_RHS_BLOCK};
@@ -89,13 +80,13 @@ impl RhsBlockChoice {
     /// shortrow's per-cell speedup keeps growing through `k = 8` (2.19× at
     /// G=40, 2.83× at G=20 over `k = 1`, vs 1.99×/2.43× at `k = 4`) because
     /// its bitwise in-order reduction is latency-bound and wider blocks hide
-    /// more of it; generic, diagsplit, and sliced stay at the all-round
+    /// more of it; generic and sliced stay at the all-round
     /// `k = 4` — their measured blocked rows plateau there and wider
     /// interleaving starts thrashing the per-row accumulator registers.
     pub fn auto_width(kind: KernelKind) -> usize {
         match kind {
             KernelKind::ShortRow => MAX_RHS_BLOCK,
-            KernelKind::Generic | KernelKind::DiagSplit | KernelKind::Sliced => 4,
+            KernelKind::Generic | KernelKind::Sliced => 4,
         }
     }
 
@@ -148,12 +139,11 @@ pub struct ParallelConfig {
     /// Which SpMV kernel plan-driven products run (steppers and explicit
     /// [`ChunkPlan`]s) — [`KernelChoice::Auto`] analyzes the matrix once
     /// per plan and picks; a forced value skips the analysis. The per-call
-    /// conveniences ([`CsrMatrix::mul_vec_parallel_into`],
-    /// [`CsrMatrix::mul_vec_spawn_into`]) ignore this field and always run
-    /// the generic kernel: they re-plan every call, where even the
-    /// layout-free kernels' one-time column validation would rival the
-    /// product it serves. Every kernel is bitwise identical to the serial
-    /// product, so this knob affects speed only.
+    /// convenience [`CsrMatrix::mul_vec_parallel_into`] ignores this field
+    /// and always runs the generic kernel: it re-plans every call, where
+    /// even the layout-free kernels' one-time column validation would rival
+    /// the product it serves. Every kernel is bitwise identical to the
+    /// serial product, so this knob affects speed only.
     pub kernel: KernelChoice,
     /// Blocked-RHS stepping width for callers that can batch compatible
     /// computations over one matrix (see [`RhsBlockChoice`]). Speed only:
@@ -171,10 +161,10 @@ pub struct ParallelConfig {
     /// Which execution backend the resolved kernel runs
     /// ([`BackendChoice::Auto`] probes the CPU once per process and takes
     /// the widest supported; forced values are clamped to the hardware —
-    /// see [`crate::simd`]). Only the shortrow and sliced kernels have
-    /// SIMD variants; generic and diagsplit always run scalar. Like the
-    /// kernel knob this affects speed only: every backend is bitwise
-    /// identical to the serial product.
+    /// see [`crate::simd`]). Only the sliced kernel has SIMD variants;
+    /// generic and shortrow always run scalar. Like the kernel knob this
+    /// affects speed only: every backend is bitwise identical to the serial
+    /// product.
     pub backend: BackendChoice,
 }
 
@@ -341,8 +331,8 @@ impl ChunkPlan {
     }
 
     /// The execution backend the resolved kernel runs on (scalar unless the
-    /// `simd` feature is active, the target is `x86_64`, and the kernel has
-    /// a vector variant).
+    /// `simd` feature is active, the target is `x86_64`, and the kernel is
+    /// sliced — the only one with vector variants).
     pub fn backend(&self) -> Backend {
         self.kernel.backend()
     }
@@ -399,16 +389,6 @@ unsafe impl Send for SendPtr {}
 unsafe impl Sync for SendPtr {}
 
 impl CsrMatrix {
-    /// Serial generic kernel for one planned chunk: rows `range` of
-    /// `y = A·x`. The spawn baseline runs this directly; pooled products go
-    /// through the plan's resolved [`Kernel`] instead. One implementation
-    /// for both paths — the bitwise-identity contract hinges on a single
-    /// generic ground truth.
-    #[inline]
-    fn mul_chunk(&self, x: &[f64], out: &mut [f64], range: std::ops::Range<usize>) {
-        crate::kernel::mul_rows_generic(self, x, out, range);
-    }
-
     /// `y = A·x` over a precomputed [`ChunkPlan`] on a persistent
     /// [`WorkerPool`], through the plan's resolved kernel. Bitwise identical
     /// to [`CsrMatrix::mul_vec_into`] regardless of the kernel, the pool
@@ -520,36 +500,6 @@ impl CsrMatrix {
         let plan = ChunkPlan::with_kernel(self, threads, KernelChoice::Generic);
         self.mul_vec_pooled_into(x, y, &plan, WorkerPool::global());
     }
-
-    /// `y = A·x` spawning scoped threads **per call** over nnz-balanced row
-    /// chunks — the pre-pool strategy, kept as the measurable baseline (the
-    /// `repro engine` target reports pool vs per-call-spawn wall times).
-    /// The chunk bounds come from the same [`ChunkPlan`] the pooled path
-    /// uses; only the execution strategy differs. Falls back to
-    /// [`CsrMatrix::mul_vec_into`] under the same conditions as the pooled
-    /// path; bitwise identical results.
-    pub fn mul_vec_spawn_into(&self, x: &[f64], y: &mut [f64], cfg: &ParallelConfig) {
-        assert_eq!(x.len(), self.ncols(), "x length mismatch");
-        assert_eq!(y.len(), self.nrows(), "y length mismatch");
-        let threads = effective_threads(cfg.threads);
-        if self.nnz() < cfg.min_nnz || threads <= 1 {
-            self.mul_vec_into(x, y);
-            return;
-        }
-        let plan = ChunkPlan::with_kernel(self, threads, KernelChoice::Generic);
-        // Split `y` into disjoint mutable slices matching the row chunks.
-        std::thread::scope(|scope| {
-            let mut rest = y;
-            let mut offset = 0usize;
-            for chunk in plan.ranges() {
-                let (head, tail) = rest.split_at_mut(chunk.end - offset);
-                offset = chunk.end;
-                rest = tail;
-                let chunk = chunk.clone();
-                scope.spawn(move || self.mul_chunk(x, head, chunk));
-            }
-        });
-    }
 }
 
 #[cfg(test)]
@@ -588,9 +538,6 @@ mod tests {
             let mut got = vec![0.0; n];
             m.mul_vec_parallel_into(&x, &mut got, &cfg);
             assert_eq!(got, want, "pooled threads={threads}");
-            let mut spawned = vec![0.0; n];
-            m.mul_vec_spawn_into(&x, &mut spawned, &cfg);
-            assert_eq!(spawned, want, "spawn threads={threads}");
         }
     }
 
@@ -608,7 +555,6 @@ mod tests {
                     KernelChoice::Auto,
                     KernelChoice::Generic,
                     KernelChoice::ShortRow,
-                    KernelChoice::DiagSplit,
                     KernelChoice::Sliced,
                 ] {
                     let plan = ChunkPlan::with_kernel(&m, chunks, choice);
@@ -644,7 +590,7 @@ mod tests {
                         IndexWidthChoice::W16,
                         SellSort::Always,
                     ),
-                    (KernelChoice::Sliced, IndexWidthChoice::W64, SellSort::Never),
+                    (KernelChoice::Sliced, IndexWidthChoice::W32, SellSort::Never),
                     (
                         KernelChoice::ShortRow,
                         IndexWidthChoice::W16,
@@ -691,7 +637,6 @@ mod tests {
         for kind in [
             KernelKind::Generic,
             KernelKind::ShortRow,
-            KernelKind::DiagSplit,
             KernelKind::Sliced,
         ] {
             assert_eq!(RhsBlockChoice::Auto.resolve_for(kind, 1), 1, "{kind:?}");
@@ -704,7 +649,6 @@ mod tests {
         }
         assert_eq!(RhsBlockChoice::auto_width(KernelKind::ShortRow), 8);
         assert_eq!(RhsBlockChoice::auto_width(KernelKind::Generic), 4);
-        assert_eq!(RhsBlockChoice::auto_width(KernelKind::DiagSplit), 4);
         assert_eq!(RhsBlockChoice::auto_width(KernelKind::Sliced), 4);
         assert_eq!(RhsBlockChoice::Fixed(4).name(), "4");
     }
@@ -730,7 +674,6 @@ mod tests {
             KernelChoice::Auto,
             KernelChoice::Generic,
             KernelChoice::ShortRow,
-            KernelChoice::DiagSplit,
             KernelChoice::Sliced,
         ] {
             let donor_plan = ChunkPlan::with_options(
@@ -783,7 +726,7 @@ mod tests {
             bld.push(i, j, v + 0.25);
         }
         let b = bld.build();
-        let plan = ChunkPlan::with_kernel(&a, 2, KernelChoice::DiagSplit);
+        let plan = ChunkPlan::with_kernel(&a, 2, KernelChoice::Sliced);
         let rebound = plan.rebind(&a, &b);
         let mut y = vec![0.0; n];
         a.mul_vec_pooled_into(&vec![1.0; n], &mut y, &rebound, WorkerPool::global());
@@ -826,7 +769,7 @@ mod tests {
             bld.push(i, j, v + 0.25); // same pattern, different (nonzero) values
         }
         let b = bld.build();
-        let plan = ChunkPlan::with_kernel(&a, 2, KernelChoice::DiagSplit);
+        let plan = ChunkPlan::with_kernel(&a, 2, KernelChoice::Sliced);
         let mut y = vec![0.0; n];
         b.mul_vec_pooled_into(&vec![1.0; n], &mut y, &plan, WorkerPool::global());
     }
@@ -881,7 +824,7 @@ mod tests {
     }
 
     #[test]
-    fn spawn_and_pool_share_the_chunk_bounds() {
+    fn plan_ranges_are_the_balanced_row_chunks() {
         let m = band_matrix(200);
         for chunks in [1, 3, 8] {
             let plan = ChunkPlan::new(&m, chunks);

@@ -1,16 +1,15 @@
 //! SIMD backend selection for the SpMV kernels.
 //!
-//! The structure-adaptive kernels (see [`crate::kernel`]) come in up to
-//! three *backends*: the mandatory scalar loops, and — behind the `simd`
-//! cargo feature on `x86_64` — explicit-intrinsics variants of the sliced
-//! and short-row kernels (SSE2 and AVX2). The backend changes **how** a
-//! row's products are computed (vector gathers, lane-parallel multiplies),
-//! never **what** is accumulated or in which order: every SIMD variant
-//! reduces each row's products in CSR index order with the same rounding
-//! steps as the scalar loop (vector lanes are either whole independent rows
-//! — the sliced layout — or per-row product batches added back one by one,
-//! in order), so results stay bitwise identical to the serial product and
-//! the `--stable` determinism contract holds across backends and machines.
+//! The sliced kernel (see [`crate::kernel`]) comes in up to three
+//! *backends*: the mandatory scalar loops, and — behind the `simd` cargo
+//! feature on `x86_64` — explicit-intrinsics variants (SSE2 and AVX2); the
+//! generic and short-row kernels always run scalar. The backend changes
+//! **how** a row's products are computed (vector gathers, lane-parallel
+//! multiplies), never **what** is accumulated or in which order: each
+//! vector lane is a whole independent row that accumulates its products in
+//! CSR index order with the same rounding steps as the scalar loop, so
+//! results stay bitwise identical to the serial product and the `--stable`
+//! determinism contract holds across backends and machines.
 //!
 //! ## Dispatch
 //!

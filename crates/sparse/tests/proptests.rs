@@ -92,13 +92,10 @@ proptest! {
         let x: Vec<f64> = (0..m).map(|j| 1.0 / (j + 1) as f64).collect();
         let mut serial = vec![0.0; n];
         let mut par = vec![0.0; n];
-        let mut spawned = vec![0.0; n];
         c.mul_vec_into(&x, &mut serial);
         let cfg = ParallelConfig { min_nnz: 0, threads, kernel: KernelChoice::Auto, ..Default::default() };
         c.mul_vec_parallel_into(&x, &mut par, &cfg);
         prop_assert_eq!(&serial, &par);
-        c.mul_vec_spawn_into(&x, &mut spawned, &cfg);
-        prop_assert_eq!(&serial, &spawned);
     }
 
     /// The pooled kernel is bitwise identical to the serial one on random
@@ -143,7 +140,6 @@ proptest! {
             KernelChoice::Auto,
             KernelChoice::Generic,
             KernelChoice::ShortRow,
-            KernelChoice::DiagSplit,
             KernelChoice::Sliced,
         ] {
             let plan = ChunkPlan::with_kernel(&c, chunks, choice);
@@ -194,7 +190,6 @@ proptest! {
         for choice in [
             KernelChoice::Auto,
             KernelChoice::ShortRow,
-            KernelChoice::DiagSplit,
             KernelChoice::Sliced,
         ] {
             for backend in [
@@ -291,7 +286,6 @@ proptest! {
             KernelChoice::Auto,
             KernelChoice::Generic,
             KernelChoice::ShortRow,
-            KernelChoice::DiagSplit,
             KernelChoice::Sliced,
         ] {
             for backend in [BackendChoice::Auto, BackendChoice::Scalar, BackendChoice::Avx2] {
@@ -351,7 +345,6 @@ proptest! {
             IndexWidthChoice::Auto,
             IndexWidthChoice::W16,
             IndexWidthChoice::W32,
-            IndexWidthChoice::W64,
         ] {
             for sort in [SellSort::Auto, SellSort::Always, SellSort::Never] {
                 let plan = ChunkPlan::with_options(
