@@ -129,22 +129,17 @@ pub struct Stepper<'a> {
     plan: Arc<ChunkPlan>,
     pool: &'static Arc<WorkerPool>,
     /// Blocked-RHS width `k` this stepper was planned for: how many
-    /// interleaved distributions one [`Stepper::step_block`] pass moves.
+    /// interleaved distributions one [`Stepper::step`] pass moves.
     block: usize,
 }
 
 impl Stepper<'_> {
-    /// One DTMC step: `out = Pᵀ·π`.
+    /// One DTMC step `out = Pᵀ·π` over `k = self.block()` interleaved
+    /// distributions (`pi[s*k + j]` is column `j`'s mass in state `s`; at
+    /// `k = 1` a plain distribution): every column is stepped bitwise
+    /// identically to a serial single-vector product, but the matrix
+    /// streams through memory once for all `k`.
     pub fn step(&self, pi: &[f64], out: &mut [f64]) {
-        self.p_t.mul_vec_pooled_into(pi, out, &self.plan, self.pool);
-    }
-
-    /// One blocked DTMC step over `k = self.block()` interleaved
-    /// distributions (`pi[s*k + j]` is column `j`'s mass in state `s`):
-    /// every column is stepped exactly as [`Stepper::step`] would step it
-    /// alone — bitwise identical per column — but the matrix streams
-    /// through memory once for all `k`.
-    pub fn step_block(&self, pi: &[f64], out: &mut [f64]) {
         self.p_t
             .mul_mat_pooled_into(pi, out, &self.plan, self.pool, self.block);
     }
@@ -234,7 +229,7 @@ impl Uniformized {
     }
 
     /// Like [`Uniformized::stepper`] planned for blocked-RHS stepping:
-    /// [`Stepper::step_block`] moves `block` interleaved distributions per
+    /// [`Stepper::step`] moves `block` interleaved distributions per
     /// streaming pass of `Pᵀ`. Plans are cached per
     /// `(chunks, kernel, backend, block, index width, σ-sort)`, so mixing
     /// serial and blocked steppers over one uniformization never rebuilds
@@ -724,7 +719,7 @@ mod tests {
             assert_eq!(blocked.block(), k);
             let xk: Vec<f64> = (0..3 * k).map(|i| pi[i / k]).collect();
             let mut got = vec![0.0; 3 * k];
-            blocked.step_block(&xk, &mut got);
+            blocked.step(&xk, &mut got);
             for s in 0..3 {
                 for j in 0..k {
                     assert_eq!(

@@ -18,20 +18,26 @@
 //! ## Sweep execution
 //!
 //! [`Engine::sweep`] plans every request into `(model, measure,
-//! method-group-of-horizons)` jobs and executes the jobs on the shared
-//! persistent worker pool. Horizons that share a method stay together so
-//! the per-method batch paths (`SrSolver::solve_many`'s single propagation
-//! sweep, RRL's shared construction) keep their savings; independent jobs
-//! run concurrently, and the pool's work stealing lets idle workers claim
-//! the jobs' inner SpMV chunks — a narrow sweep on a wide machine keeps
-//! every core busy (see `regenr_sparse::pool`).
+//! method-group-of-horizons)` jobs and groups the jobs into claimable
+//! units: SR jobs whose models share a generator and error budget form one
+//! unit solved as a single blocked propagation, and every other job is a
+//! unit of width 1. Horizons that share a method stay together so the
+//! per-method batch paths (SR's single propagation sweep, RRL's shared
+//! construction) keep their savings. There is one executor (`run_unit`,
+//! one attempt per unit member) and one supervision site (`run_supervised`:
+//! health checks, retries, method fallback); [`Engine::solve`] runs the
+//! same claim loop inline on one worker. Independent units run
+//! concurrently on the shared persistent worker pool, and the pool's work
+//! stealing lets idle workers claim the units' inner SpMV chunks — a narrow
+//! sweep on a wide machine keeps every core busy (see
+//! `regenr_sparse::pool`).
 
 use crate::cache::{ArtifactCache, CacheConfig, CacheStats, ChainFacts};
 use crate::fingerprint::{model_fps, ModelFps};
 use crate::method::Method;
 use crate::solver::{build_solver, EngineSolution, SolveConfig, Solver};
 use crate::EngineError;
-use regenr_ctmc::{Ctmc, CtmcError};
+use regenr_ctmc::{Ctmc, CtmcError, Uniformized};
 use regenr_laplace::InverterOptions;
 use regenr_sparse::{
     effective_threads, ParallelConfig, RhsBlockChoice, WorkerPool, WorkerPoolStats, Workspace,
@@ -259,8 +265,9 @@ pub struct ExecStats {
     /// per group, width set by [`ParallelConfig::rhs_block`] — and stepped
     /// through one multi-vector SpMM instead of one SpMV per job, reading
     /// the matrix once per step for the whole group. Values stay bitwise
-    /// identical to the per-job path; this counter is the only observable
-    /// difference. `0` when nothing grouped (distinct generators, mixed
+    /// identical to solving each job alone; this counter is the only
+    /// observable difference. Only healthy members of units wider than one
+    /// job count. `0` when nothing grouped (distinct generators, mixed
     /// tolerances, or `rhs_block = 1`).
     pub blocked_cells: usize,
 }
@@ -412,8 +419,11 @@ impl Default for Engine {
     }
 }
 
+/// One job's outcome: its reports in slot order, or why it failed.
+type JobResult = Result<Vec<SolveReport>, EngineError>;
+
 /// A sweep job's result slot, filled by whichever worker executes it.
-type JobCell = Mutex<Option<Result<Vec<SolveReport>, EngineError>>>;
+type JobCell = Mutex<Option<JobResult>>;
 
 /// Longest panic message a report will carry. Panic payloads are
 /// attacker/bug-controlled strings that end up in failure reports and
@@ -559,25 +569,17 @@ fn health_check(req: &SolveRequest, reports: &[SolveReport]) -> Result<(), Strin
     Ok(())
 }
 
-/// One claimable unit of sweep execution: a lone job, or a group of SR jobs
-/// sharing a generator and error budget that one worker solves as a single
-/// blocked propagation (see [`Engine::run_block`]).
-enum SweepUnit {
-    Single(usize),
-    Block(Vec<usize>),
-}
-
-/// Groups planned jobs into sweep units. SR jobs bucket by
-/// `(unif_fingerprint, epsilon)` — equal keys uniformize identically and
+/// Groups planned jobs into claimable sweep units: lists of job indices
+/// one worker executes together (see [`Engine::run_unit`]). SR jobs bucket
+/// by `(unif_fingerprint, epsilon)` — equal keys uniformize identically and
 /// share `SrOptions` — and each bucket is chunked to the width
 /// [`RhsBlockChoice::plan_width`] picks (`Auto` → the maximum block width
 /// when a bucket has company — the executing worker sub-splits to the
-/// resolved kernel's preferred width once it knows it, see
-/// [`Engine::run_block`] — `1` disables grouping entirely). Everything
-/// else — other methods, singleton buckets, odd tail chunks of one — stays
-/// a `Single` unit and runs exactly as before. Units come out in first-job
-/// order, so claim order matches the ungrouped sweep.
-fn plan_units(jobs: &[Job], reqs: &[SolveRequest], rhs_block: RhsBlockChoice) -> Vec<SweepUnit> {
+/// resolved kernel's preferred width once it knows it — `1` disables
+/// grouping entirely). Everything else — other methods, singleton buckets,
+/// odd tail chunks of one — is a unit of width 1. Units come out in
+/// first-job order, so claim order matches the ungrouped sweep.
+fn plan_units(jobs: &[Job], reqs: &[SolveRequest], rhs_block: RhsBlockChoice) -> Vec<Vec<usize>> {
     use std::collections::HashMap;
     let mut buckets: HashMap<(u64, u64), Vec<usize>> = HashMap::new();
     for (i, job) in jobs.iter().enumerate() {
@@ -588,30 +590,54 @@ fn plan_units(jobs: &[Job], reqs: &[SolveRequest], rhs_block: RhsBlockChoice) ->
                 .push(i);
         }
     }
-    let mut blocks: HashMap<usize, Vec<usize>> = HashMap::new();
-    let mut follower = vec![false; jobs.len()];
+    // Indexed by each unit's first job; followers leave their slot empty.
+    let mut units: Vec<Option<Vec<usize>>> = (0..jobs.len()).map(|i| Some(vec![i])).collect();
     for members in buckets.into_values() {
-        let width = rhs_block.plan_width(members.len());
-        if width < 2 {
-            continue;
-        }
-        for chunk in members.chunks(width) {
-            if chunk.len() < 2 {
-                continue;
-            }
+        for chunk in members.chunks(rhs_block.plan_width(members.len())) {
             for &j in &chunk[1..] {
-                follower[j] = true;
+                units[j] = None;
             }
-            blocks.insert(chunk[0], chunk.to_vec());
+            units[chunk[0]] = Some(chunk.to_vec());
         }
     }
-    (0..jobs.len())
-        .filter(|i| !follower[*i])
-        .map(|i| match blocks.remove(&i) {
-            Some(members) => SweepUnit::Block(members),
-            None => SweepUnit::Single(i),
-        })
-        .collect()
+    units.into_iter().flatten().collect()
+}
+
+/// One sweep's execution state, shared by the workers draining it: the
+/// planned jobs, their units and claim cursor, one result slot per job, and
+/// the counters workers update.
+struct Execution<'a> {
+    reqs: &'a [SolveRequest],
+    jobs: Vec<Job>,
+    units: Vec<Vec<usize>>,
+    next: AtomicUsize,
+    results: Vec<JobCell>,
+    robust: RobustCounters,
+    blocked_cells: AtomicUsize,
+}
+
+impl<'a> Execution<'a> {
+    fn new(reqs: &'a [SolveRequest], jobs: Vec<Job>, rhs_block: RhsBlockChoice) -> Self {
+        Execution {
+            reqs,
+            units: plan_units(&jobs, reqs, rhs_block),
+            results: jobs.iter().map(|_| Mutex::new(None)).collect(),
+            jobs,
+            next: AtomicUsize::new(0),
+            robust: RobustCounters::default(),
+            blocked_cells: AtomicUsize::new(0),
+        }
+    }
+
+    /// Each job's outcome in job order (`None`: never executed).
+    fn into_outcomes(self) -> impl Iterator<Item = (Job, Option<JobResult>)> {
+        self.jobs
+            .into_iter()
+            .zip(self.results.into_iter().map(|cell| {
+                cell.into_inner()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+            }))
+    }
 }
 
 impl Engine {
@@ -749,35 +775,51 @@ impl Engine {
         Ok(jobs)
     }
 
-    /// Executes one planned job; returns reports in the job's slot order.
-    /// `ws` is the executing worker's scratch arena, reused across the jobs
-    /// it claims.
-    fn run_job(
+    /// Makes one attempt at every member of a unit; returns each member's
+    /// outcome (reports in the member's slot order), in member order. `ws`
+    /// is the executing worker's scratch arena, reused across the units it
+    /// claims.
+    ///
+    /// SR members — alone or grouped over one generator — run through
+    /// [`solve_block_with`]: the members' initial distributions ride in
+    /// separate block columns of a k-RHS SpMM, so the matrix streams
+    /// through memory once per step for the whole group, and every value
+    /// is **bitwise identical** to solving the member alone. Every other
+    /// method runs alone through its [`build_solver`] solver (RR/RRL via
+    /// the cached killed-chain parameters).
+    fn run_unit(
         &self,
-        req: &SolveRequest,
-        job: &Job,
+        reqs: &[SolveRequest],
+        members: &[&Job],
         ws: &mut Workspace,
-    ) -> Result<Vec<SolveReport>, EngineError> {
+    ) -> Vec<JobResult> {
         // Test seam for the sweep's panic isolation: solver panics are rare
         // (they indicate bugs, not bad requests) and none is reachable
         // through a planned request, so tests inject one by name.
         #[cfg(test)]
-        if req.name == "__panic_injection__" {
-            panic!("injected solver panic (test seam)");
+        for job in members {
+            if reqs[job.req_idx].name == "__panic_injection__" {
+                panic!("injected solver panic (test seam)");
+            }
         }
-        let ctmc: &Ctmc = &req.model;
-        let fp = job.fps.full;
-        let facts = &job.facts;
-        let cfg = self.solve_config(req);
+        // Grouping guarantees one method, generator, and epsilon per unit
+        // (theta and parallel are engine-global), so the first member's
+        // configuration and uniformization serve every member.
+        let first = members[0];
+        let first_req = &reqs[first.req_idx];
+        let cfg = self.solve_config(first_req);
         // The ODE oracle never randomizes — don't build (or count) a
         // uniformization for it. The delta-aware lookup lets a rate
         // variant's miss rebind a structural donor's plans and layouts.
-        let (unif, unif_hit) = if job.method == Method::Ode {
+        let (unif, unif_hit) = if first.method == Method::Ode {
             (None, false)
         } else {
-            let (unif, hit) =
-                self.cache
-                    .uniformized_delta(job.fps.unif, job.fps.unif_structure, ctmc, cfg.theta);
+            let (unif, hit) = self.cache.uniformized_delta(
+                first.fps.unif,
+                first.fps.unif_structure,
+                &first_req.model,
+                cfg.theta,
+            );
             (Some(unif), hit)
         };
         // The kernel (and execution backend) the solver's stepper resolves
@@ -786,23 +828,109 @@ impl Engine {
         // row-by-row and never builds a stepper, so like the ODE oracle it
         // reports no kernel (and must not force a layout build it would
         // never use).
-        let (kernel, backend) = match &unif {
-            Some(u) if job.method != Method::Adaptive => {
+        let (kind, backend) = match &unif {
+            Some(u) if first.method != Method::Adaptive => {
                 let stepper = u.stepper(&cfg.parallel);
-                (stepper.kernel_kind().name(), stepper.backend().name())
+                (Some(stepper.kernel_kind()), stepper.backend().name())
             }
-            _ => ("none", "none"),
+            _ => (None, "none"),
         };
-        let solver = build_solver(job.method, ctmc, facts, unif, &cfg)?;
-        let lambda = self.lambda(facts);
 
         let t0 = Instant::now();
+        let solved: Vec<Result<(Vec<EngineSolution>, bool), EngineError>> =
+            match (first.method, &unif, kind) {
+                (Method::Sr, Some(unif), Some(kind)) => {
+                    let opts = SrOptions {
+                        epsilon: cfg.epsilon,
+                        theta: cfg.theta,
+                        parallel: cfg.parallel,
+                    };
+                    let cells: Vec<SrBlockCell<'_>> = members
+                        .iter()
+                        .map(|job| {
+                            let req = &reqs[job.req_idx];
+                            SrBlockCell {
+                                ctmc: &req.model,
+                                measure: req.measure,
+                                ts: &job.ts,
+                            }
+                        })
+                        .collect();
+                    // The planner grouped at the maximum block width; now
+                    // that the kernel is known, sub-split to the width it
+                    // prefers. Each chunk is one blocked solve, and member
+                    // order is preserved.
+                    let width = cfg.parallel.rhs_block.resolve_for(kind, cells.len());
+                    cells
+                        .chunks(width)
+                        .flat_map(|chunk| solve_block_with(unif, &opts, chunk, ws))
+                        .map(|sols| Ok((sols.into_iter().map(Into::into).collect(), false)))
+                        .collect()
+                }
+                _ => {
+                    debug_assert_eq!(members.len(), 1, "only SR groups");
+                    vec![self.solve_alone(first_req, first, unif, &cfg, ws)]
+                }
+            };
+        let total_cells: usize = members.iter().map(|job| job.ts.len()).sum();
+        let per_cell = t0.elapsed() / total_cells.max(1) as u32;
+
+        let kernel = kind.map_or("none", |k| k.name());
+        members
+            .iter()
+            .zip(solved)
+            .map(|(job, outcome)| {
+                let (solutions, params_hit) = outcome?;
+                let req = &reqs[job.req_idx];
+                let lambda = self.lambda(&job.facts);
+                Ok(job
+                    .ts
+                    .iter()
+                    .zip(&solutions)
+                    .map(|(&t, sol)| SolveReport {
+                        model: req.name.clone(),
+                        fingerprint: job.fps.full,
+                        measure: req.measure,
+                        t,
+                        method: job.method,
+                        reason: job.reason,
+                        value: sol.value,
+                        steps: sol.steps,
+                        error_bound: sol.error_bound,
+                        abscissae: sol.abscissae,
+                        converged: sol.converged,
+                        lambda_t: lambda * t,
+                        kernel,
+                        backend,
+                        unif_cache_hit: unif_hit,
+                        params_cache_hit: params_hit,
+                        wall: per_cell,
+                        attempts: 1,
+                        recovered_via: None,
+                    })
+                    .collect())
+            })
+            .collect()
+    }
+
+    /// Solves one non-SR job through its method's solver. Returns the
+    /// solutions in slot order and whether the killed-chain parameters
+    /// came from the cache.
+    fn solve_alone(
+        &self,
+        req: &SolveRequest,
+        job: &Job,
+        unif: Option<Arc<Uniformized>>,
+        cfg: &SolveConfig,
+        ws: &mut Workspace,
+    ) -> Result<(Vec<EngineSolution>, bool), EngineError> {
+        let solver = build_solver(job.method, &req.model, &job.facts, unif, cfg)?;
         // RR and RRL share the regen-params cache (identical sequences for
         // identical `(r, ε, θ)` keys — see `ArtifactCache::regen_params`);
         // only the per-horizon solve stage differs. The cache key must
         // describe the solver that consumes the parameters — take `r` and
         // the options from it, never re-derive.
-        let (solutions, params_hit) = if let Some(rrl) = solver.as_rrl() {
+        if let Some(rrl) = solver.as_rrl() {
             self.run_regen_cached(
                 job,
                 rrl.options().regen,
@@ -814,7 +942,7 @@ impl Engine {
                     None => Solver::solve(rrl, req.measure, t),
                     Some(p) => Ok(rrl.invert_params(p, req.measure, t).into()),
                 },
-            )?
+            )
         } else if let Some(rr) = solver.as_rr() {
             self.run_regen_cached(
                 job,
@@ -827,38 +955,10 @@ impl Engine {
                     None => Ok(rr.solve_with(req.measure, t, ws)?.into()),
                     Some(p) => Ok(rr.solve_from(p, req.measure, t, ws)?.into()),
                 },
-            )?
+            )
         } else {
-            (solver.solve_many_ws(req.measure, &job.ts, ws)?, false)
-        };
-        let per_cell = t0.elapsed() / job.ts.len().max(1) as u32;
-
-        Ok(job
-            .ts
-            .iter()
-            .zip(&solutions)
-            .map(|(&t, sol)| SolveReport {
-                model: req.name.clone(),
-                fingerprint: fp,
-                measure: req.measure,
-                t,
-                method: job.method,
-                reason: job.reason,
-                value: sol.value,
-                steps: sol.steps,
-                error_bound: sol.error_bound,
-                abscissae: sol.abscissae,
-                converged: sol.converged,
-                lambda_t: lambda * t,
-                kernel,
-                backend,
-                unif_cache_hit: unif_hit,
-                params_cache_hit: params_hit,
-                wall: per_cell,
-                attempts: 1,
-                recovered_via: None,
-            })
-            .collect())
+            Ok((solver.solve_many_ws(req.measure, &job.ts, ws)?, false))
+        }
     }
 
     /// Supervised execution of one job: run the planned method, health-check
@@ -870,12 +970,13 @@ impl Engine {
     /// pool stall — get room to do so without turning retries into a spin).
     fn run_supervised(
         &self,
-        req: &SolveRequest,
+        reqs: &[SolveRequest],
         job: &Job,
         ws: &mut Workspace,
         counters: &RobustCounters,
         prior_failures: u32,
-    ) -> Result<Vec<SolveReport>, EngineError> {
+    ) -> JobResult {
+        let req = &reqs[job.req_idx];
         let mut attempts: u32 = prior_failures;
         let mut last_err: Option<EngineError> = None;
         for (mi, method) in std::iter::once(job.method)
@@ -903,7 +1004,8 @@ impl Engine {
                 }
                 attempts += 1;
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.run_job(req, job_m, ws)
+                    let mut outcomes = self.run_unit(reqs, &[job_m], ws);
+                    outcomes.pop().expect("one outcome per member")
                 }));
                 let err = match outcome {
                     Err(payload) => {
@@ -954,120 +1056,63 @@ impl Engine {
         Err(last_err.expect("supervisor made at least one attempt"))
     }
 
-    /// Executes a group of SR jobs whose models share a generator as one
-    /// blocked propagation over a single cached uniformization: the members'
-    /// initial distributions ride in separate block columns of a k-RHS SpMM,
-    /// so the matrix streams through memory once per step for the whole
-    /// group. Returns `(job index, reports)` per member, reports in the
-    /// member's slot order. Every value is **bitwise identical** to running
-    /// the members through [`Engine::run_job`] one at a time (the blocked
-    /// kernels are the serial kernel applied column-wise), so grouping is an
-    /// execution detail — invisible in `--stable` reports, surfaced only as
-    /// [`ExecStats::blocked_cells`].
-    fn run_block(
-        &self,
-        reqs: &[SolveRequest],
-        jobs: &[Job],
-        members: &[usize],
-        ws: &mut Workspace,
-    ) -> Vec<(usize, Vec<SolveReport>)> {
-        // Same test seam as `run_job`: the panic surfaces here and the
-        // worker's serial fallback re-runs the members individually, which
-        // is exactly the isolation property the seam exists to exercise.
-        #[cfg(test)]
-        for &j in members {
-            if reqs[jobs[j].req_idx].name == "__panic_injection__" {
-                panic!("injected solver panic (test seam)");
+    /// One worker's claim loop: claims units until none are left (or the
+    /// observer cancels) and runs each under supervision. A width-1 unit
+    /// goes straight to the supervisor. A wider unit makes one blocked
+    /// attempt: healthy members publish their blocked results (counted in
+    /// `blocked_cells`), an unhealthy member re-solves alone under the
+    /// supervisor inheriting its failed attempt, and a panic discards the
+    /// arena and re-runs every member alone, uncharged — a poisoned member
+    /// fails alone instead of taking its groupmates down with it. Job
+    /// result slots are written only after the catch, so solver code can
+    /// never poison them.
+    fn drain(&self, exec: &Execution<'_>, progress: &dyn SweepProgress, ws: &mut Workspace) {
+        let publish = |j: usize, outcome: JobResult| {
+            if let Ok(reports) = &outcome {
+                progress.on_reports(reports);
+            }
+            *crate::cache::lock(&exec.results[j]) = Some(outcome);
+        };
+        let supervise = |j: usize, ws: &mut Workspace, prior_failures: u32| {
+            let job = &exec.jobs[j];
+            self.run_supervised(exec.reqs, job, ws, &exec.robust, prior_failures)
+        };
+        while !progress.cancelled() {
+            let Some(unit) = exec.units.get(exec.next.fetch_add(1, Ordering::Relaxed)) else {
+                break;
+            };
+            if let [j] = unit[..] {
+                publish(j, supervise(j, ws, 0));
+                continue;
+            }
+            let members: Vec<&Job> = unit.iter().map(|&j| &exec.jobs[j]).collect();
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.run_unit(exec.reqs, &members, ws)
+            })) {
+                Ok(outcomes) => {
+                    for (&j, outcome) in unit.iter().zip(outcomes) {
+                        if let Ok(reports) = outcome {
+                            let req = &exec.reqs[exec.jobs[j].req_idx];
+                            if health_check(req, &reports).is_ok() {
+                                exec.blocked_cells
+                                    .fetch_add(reports.len(), Ordering::Relaxed);
+                                publish(j, Ok(reports));
+                                continue;
+                            }
+                            exec.robust.health_failures.fetch_add(1, Ordering::Relaxed);
+                        }
+                        publish(j, supervise(j, ws, 1));
+                    }
+                }
+                Err(_) => {
+                    // The arena may hold the unwound propagation's state.
+                    ws.discard_all();
+                    for &j in unit {
+                        publish(j, supervise(j, ws, 0));
+                    }
+                }
             }
         }
-        let first = &jobs[members[0]];
-        let first_req = &reqs[first.req_idx];
-        let cfg = self.solve_config(first_req);
-        // One shared uniformization for the whole group, under the same
-        // generator-only key `run_job` uses — blocked and per-job execution
-        // hit the identical cache entry (delta-aware, like `run_job`).
-        let (unif, unif_hit) = self.cache.uniformized_delta(
-            first.fps.unif,
-            first.fps.unif_structure,
-            &first_req.model,
-            cfg.theta,
-        );
-        let (kind, kernel, backend) = {
-            let stepper = unif.stepper(&cfg.parallel);
-            let kind = stepper.kernel_kind();
-            (kind, kind.name(), stepper.backend().name())
-        };
-        // Grouping guarantees equal epsilon (it is part of the bucket key),
-        // and theta/parallel are engine-global, so one SrOptions serves
-        // every member.
-        let opts = SrOptions {
-            epsilon: cfg.epsilon,
-            theta: cfg.theta,
-            parallel: cfg.parallel,
-        };
-        let cells: Vec<SrBlockCell<'_>> = members
-            .iter()
-            .map(|&j| {
-                let req = &reqs[jobs[j].req_idx];
-                SrBlockCell {
-                    ctmc: &req.model,
-                    measure: req.measure,
-                    ts: &jobs[j].ts,
-                }
-            })
-            .collect();
-        let t0 = Instant::now();
-        // The planner grouped at the maximum block width; now that the
-        // kernel is known, sub-split to the width it prefers (short-row
-        // kernels take the full block, the rest peak at 4). Each chunk is
-        // one blocked solve, and member order is preserved.
-        let width = cfg
-            .parallel
-            .rhs_block
-            .resolve_for(kind, members.len())
-            .max(1);
-        let mut solutions = Vec::with_capacity(cells.len());
-        for chunk in cells.chunks(width) {
-            solutions.extend(solve_block_with(&unif, &opts, chunk, ws));
-        }
-        let total_cells: usize = members.iter().map(|&j| jobs[j].ts.len()).sum();
-        let per_cell = t0.elapsed() / total_cells.max(1) as u32;
-        members
-            .iter()
-            .zip(solutions)
-            .map(|(&j, sols)| {
-                let job = &jobs[j];
-                let req = &reqs[job.req_idx];
-                let lambda = self.lambda(&job.facts);
-                let reports = job
-                    .ts
-                    .iter()
-                    .zip(&sols)
-                    .map(|(&t, sol)| SolveReport {
-                        model: req.name.clone(),
-                        fingerprint: job.fps.full,
-                        measure: req.measure,
-                        t,
-                        method: job.method,
-                        reason: job.reason,
-                        value: sol.value,
-                        steps: sol.steps,
-                        error_bound: sol.error_bound,
-                        abscissae: 0,
-                        converged: true,
-                        lambda_t: lambda * t,
-                        kernel,
-                        backend,
-                        unif_cache_hit: unif_hit,
-                        params_cache_hit: false,
-                        wall: per_cell,
-                        attempts: 1,
-                        recovered_via: None,
-                    })
-                    .collect();
-                (j, reports)
-            })
-            .collect()
     }
 
     /// Shared regenerative fast path: killed-chain parameters come from
@@ -1128,13 +1173,21 @@ impl Engine {
         Ok((solutions, hit))
     }
 
-    /// Solves one request (sequentially); reports follow the horizon order.
+    /// Solves one request on the calling thread, under the same
+    /// supervision as a sweep (health checks, retries, method fallback);
+    /// reports follow the horizon order. Returns the first failing job's
+    /// error.
     pub fn solve(&self, req: &SolveRequest) -> Result<Vec<SolveReport>, EngineError> {
         let jobs = self.plan(0, req)?;
-        let mut ws = Workspace::new();
+        let exec = Execution::new(
+            std::slice::from_ref(req),
+            jobs,
+            self.opts.parallel.rhs_block,
+        );
+        self.drain(&exec, &NoProgress, &mut Workspace::new());
         let mut slots: Vec<Option<SolveReport>> = vec![None; req.horizons.len()];
-        for job in &jobs {
-            let reports = self.run_job(req, job, &mut ws)?;
+        for (job, outcome) in exec.into_outcomes() {
+            let reports = outcome.expect("every job executed")?;
             for (slot, report) in job.slots.iter().zip(reports) {
                 slots[*slot] = Some(report);
             }
@@ -1187,84 +1240,16 @@ impl Engine {
             }
         }
 
-        // Blocked execution planning: SR jobs over the same generator and
-        // tolerance become one multi-RHS unit a single worker solves in one
-        // streaming pass (`run_block`).
-        let units = plan_units(&jobs, reqs, self.opts.parallel.rhs_block);
-        let results: Vec<JobCell> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = effective_threads(self.opts.threads).min(units.len().max(1));
+        // Every unit runs under the supervisor (see `drain`). Each worker
+        // owns one workspace for all the units it claims, so scratch
+        // vectors are reused across jobs, not just across the horizons of
+        // one.
+        let exec = Execution::new(reqs, jobs, self.opts.parallel.rhs_block);
+        let workers = effective_threads(self.opts.threads).min(exec.units.len().max(1));
         let ws_totals: Mutex<WorkspaceStats> = Mutex::new(WorkspaceStats::default());
-        let blocked_cells = AtomicUsize::new(0);
-
-        // Every job runs under the supervisor: panics are caught (isolated
-        // from the worker pool and from groupmates), every solution is
-        // health-checked, and failing jobs retry down the method-fallback
-        // chain before they are reported as that request's failure. The job
-        // cells themselves are written only after the catch, so they can
-        // never be poisoned by solver code. Each worker owns one workspace
-        // for all the units it claims, so scratch vectors are reused across
-        // jobs, not just across the horizons of one.
-        let robust = RobustCounters::default();
-        let run_recover = |i: usize, ws: &mut Workspace, prior_failures: u32| {
-            let job = &jobs[i];
-            let outcome = self.run_supervised(&reqs[job.req_idx], job, ws, &robust, prior_failures);
-            if let Ok(reports) = &outcome {
-                progress.on_reports(reports);
-            }
-            *crate::cache::lock(&results[i]) = Some(outcome);
-        };
-        let run_single = |i: usize, ws: &mut Workspace| run_recover(i, ws, 0);
         let run_worker = || {
             let mut ws = Workspace::new();
-            loop {
-                if progress.cancelled() {
-                    break;
-                }
-                let u = next.fetch_add(1, Ordering::Relaxed);
-                let Some(unit) = units.get(u) else { break };
-                match unit {
-                    SweepUnit::Single(i) => run_single(*i, &mut ws),
-                    SweepUnit::Block(members) => {
-                        // The whole group shares one catch_unwind; a panic
-                        // falls back to per-job execution (each with its own
-                        // catch), so a poisoned member fails alone instead
-                        // of taking its groupmates down with it.
-                        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            self.run_block(reqs, &jobs, members, &mut ws)
-                        })) {
-                            Ok(per_member) => {
-                                for (j, reports) in per_member {
-                                    // Health-check each member individually:
-                                    // an unhealthy member *re-solves* under
-                                    // the supervisor (inheriting its failed
-                                    // attempt) instead of being dropped,
-                                    // while healthy groupmates publish
-                                    // their blocked results untouched.
-                                    let req = &reqs[jobs[j].req_idx];
-                                    if health_check(req, &reports).is_ok() {
-                                        blocked_cells
-                                            .fetch_add(jobs[j].ts.len(), Ordering::Relaxed);
-                                        progress.on_reports(&reports);
-                                        *crate::cache::lock(&results[j]) = Some(Ok(reports));
-                                    } else {
-                                        robust.health_failures.fetch_add(1, Ordering::Relaxed);
-                                        run_recover(j, &mut ws, 1);
-                                    }
-                                }
-                            }
-                            Err(_) => {
-                                // The group panicked as a whole: the arena
-                                // may hold the unwound propagation's state.
-                                ws.discard_all();
-                                for &j in members {
-                                    run_single(j, &mut ws);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+            self.drain(&exec, progress, &mut ws);
             crate::cache::lock(&ws_totals).merge(&ws.stats());
         };
         // Sweep-level execution: a single worker runs inline (the whole
@@ -1295,11 +1280,10 @@ impl Engine {
         let mut failed_reqs: Vec<Option<(String, bool)>> = vec![None; reqs.len()];
         let cancelled = progress.cancelled();
         let mut cancelled_jobs = 0usize;
-        for (job, cell) in jobs.iter().zip(results) {
-            match cell
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-            {
+        let robustness = exec.robust.snapshot();
+        let blocked_cells = exec.blocked_cells.load(Ordering::Relaxed);
+        for (job, outcome) in exec.into_outcomes() {
+            match outcome {
                 Some(Ok(reports)) => {
                     for (slot, report) in job.slots.iter().zip(reports) {
                         per_req[job.req_idx][*slot] = Some(report);
@@ -1345,9 +1329,9 @@ impl Engine {
                 workspace: ws_totals
                     .into_inner()
                     .unwrap_or_else(std::sync::PoisonError::into_inner),
-                blocked_cells: blocked_cells.into_inner(),
+                blocked_cells,
             },
-            robustness: robust.snapshot(),
+            robustness,
             wall: t0.elapsed(),
         }
     }

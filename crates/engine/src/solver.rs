@@ -95,21 +95,10 @@ pub trait Solver {
     /// Computes the measure at horizon `t`.
     fn solve(&self, measure: MeasureKind, t: f64) -> Result<EngineSolution, EngineError>;
 
-    /// Computes the measure at many horizons. Methods with shareable work
-    /// (SR's propagation sweep, RRL's parameter construction) override this;
-    /// the default loops.
-    fn solve_many(
-        &self,
-        measure: MeasureKind,
-        ts: &[f64],
-    ) -> Result<Vec<EngineSolution>, EngineError> {
-        ts.iter().map(|&t| self.solve(measure, t)).collect()
-    }
-
-    /// Like [`Solver::solve_many`] with caller-owned scratch: solvers
-    /// threading the [`Workspace`] through their inner loops perform zero
-    /// steady-state vector allocations across the horizon grid. The default
-    /// ignores the workspace and delegates.
+    /// Computes the measure at many horizons with caller-owned scratch.
+    /// Methods with shareable work (SR's propagation sweep, RRL's parameter
+    /// construction) or workspace-threaded inner loops override this; the
+    /// default ignores the workspace and loops [`Solver::solve`].
     fn solve_many_ws(
         &self,
         measure: MeasureKind,
@@ -117,7 +106,7 @@ pub trait Solver {
         ws: &mut Workspace,
     ) -> Result<Vec<EngineSolution>, EngineError> {
         let _ = ws;
-        self.solve_many(measure, ts)
+        ts.iter().map(|&t| self.solve(measure, t)).collect()
     }
 }
 
@@ -128,17 +117,6 @@ impl Solver for SrSolver<'_> {
 
     fn solve(&self, measure: MeasureKind, t: f64) -> Result<EngineSolution, EngineError> {
         Ok(SrSolver::solve(self, measure, t).into())
-    }
-
-    fn solve_many(
-        &self,
-        measure: MeasureKind,
-        ts: &[f64],
-    ) -> Result<Vec<EngineSolution>, EngineError> {
-        Ok(SrSolver::solve_many(self, measure, ts)
-            .into_iter()
-            .map(Into::into)
-            .collect())
     }
 
     fn solve_many_ws(
@@ -232,17 +210,6 @@ impl Solver for RrSolver<'_> {
         Ok(RrSolver::solve(self, measure, t)?.into())
     }
 
-    fn solve_many(
-        &self,
-        measure: MeasureKind,
-        ts: &[f64],
-    ) -> Result<Vec<EngineSolution>, EngineError> {
-        Ok(RrSolver::solve_many(self, measure, ts)?
-            .into_iter()
-            .map(Into::into)
-            .collect())
-    }
-
     fn solve_many_ws(
         &self,
         measure: MeasureKind,
@@ -263,17 +230,6 @@ impl Solver for RrlSolver<'_> {
 
     fn solve(&self, measure: MeasureKind, t: f64) -> Result<EngineSolution, EngineError> {
         Ok(RrlSolver::solve(self, measure, t)?.into())
-    }
-
-    fn solve_many(
-        &self,
-        measure: MeasureKind,
-        ts: &[f64],
-    ) -> Result<Vec<EngineSolution>, EngineError> {
-        Ok(RrlSolver::solve_many(self, measure, ts)?
-            .into_iter()
-            .map(Into::into)
-            .collect())
     }
 
     fn solve_many_ws(
@@ -375,14 +331,6 @@ impl Solver for UnifiedSolver<'_> {
 
     fn solve(&self, measure: MeasureKind, t: f64) -> Result<EngineSolution, EngineError> {
         self.inner().solve(measure, t)
-    }
-
-    fn solve_many(
-        &self,
-        measure: MeasureKind,
-        ts: &[f64],
-    ) -> Result<Vec<EngineSolution>, EngineError> {
-        self.inner().solve_many(measure, ts)
     }
 
     fn solve_many_ws(

@@ -99,6 +99,61 @@ fn exhausted_recovery_is_an_infrastructure_failure() {
     assert!(report.robustness.health_failures >= 2, "retry also failed");
 }
 
+/// Two SR requests over one generator (TRR and MRR of the same model)
+/// sweep as one blocked unit. An injected NaN lands in block column 0
+/// only: that member fails its health check and re-solves alone
+/// (`attempts == 2`), while its groupmate keeps the blocked result —
+/// one attempt, bitwise equal to an unarmed sweep, and the only cells
+/// counted in `blocked_cells`.
+#[test]
+fn blocked_member_recovers_alone() {
+    let spec = r#"{"horizons":[1,10],"method":"sr","measures":["trr","mrr"],
+                   "models":[{"kind":"raid","g":4}],"epsilon":1e-10}"#;
+    let _lock = armed("");
+    let _clean = Disarm;
+    let clean = sweep(spec);
+    assert!(clean.failures.is_empty(), "{:?}", clean.failures);
+    assert_eq!(clean.exec.blocked_cells, 4, "both requests share one block");
+
+    regenr_failpoint::configure("sr-nan=nan,count=1").expect("failpoint spec parses");
+    let report = sweep(spec);
+    assert!(report.failures.is_empty(), "{:?}", report.failures);
+    assert_eq!(regenr_failpoint::fired_count("sr-nan"), 1);
+    assert_eq!(report.reports.len(), clean.reports.len());
+    for (got, want) in report.reports.iter().zip(&clean.reports) {
+        assert_eq!((got.measure, got.t), (want.measure, want.t));
+        assert_eq!(got.value.to_bits(), want.value.to_bits(), "t={}", got.t);
+        let poisoned = got.measure == clean.reports[0].measure;
+        assert_eq!(got.attempts, if poisoned { 2 } else { 1 }, "{got:?}");
+        assert_eq!(got.recovered_via, None, "same method, not a fallback");
+    }
+    assert_eq!(report.exec.blocked_cells, 2, "only the groupmate's cells");
+    assert_eq!(report.robustness.health_failures, 1);
+    assert_eq!(report.robustness.recovered_cells, 2);
+}
+
+/// `Engine::solve` runs under the same supervisor as a sweep: an injected
+/// NaN is caught by the health check and the request's same-method retry
+/// returns the healthy value instead of the corrupted one.
+#[test]
+fn engine_solve_is_supervised() {
+    let spec = r#"{"horizons":[1,10],"method":"sr","max_retries":1,
+                   "models":[{"kind":"raid","g":4}],"epsilon":1e-10}"#;
+    let req = &SweepSpec::parse(spec).expect("spec parses").requests[0];
+    let _lock = armed("");
+    let _clean = Disarm;
+    let clean = Engine::new().solve(req).expect("unarmed solve");
+
+    regenr_failpoint::configure("sr-nan=nan,count=1").expect("failpoint spec parses");
+    let reports = Engine::new().solve(req).expect("supervised solve recovers");
+    assert_eq!(regenr_failpoint::fired_count("sr-nan"), 1);
+    for (got, want) in reports.iter().zip(&clean) {
+        assert!(got.value.is_finite(), "{got:?}");
+        assert_eq!(got.value.to_bits(), want.value.to_bits(), "t={}", got.t);
+        assert_eq!(got.attempts, 2);
+    }
+}
+
 /// Satellite (d): a request whose deadline expires while its leader is
 /// killed. The promoted follower must come back with a *clean* status
 /// (`deadline` or `ok`, depending on who wins the race) — it must never

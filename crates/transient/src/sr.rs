@@ -13,6 +13,11 @@
 //! Numerical safety: all terms are non-negative (this is randomization's
 //! selling point), sums are compensated, and distributions are propagated by
 //! gather-style products on `Pᵀ` (parallelized above a size threshold).
+//!
+//! There is one propagation loop, [`solve_block_with`]: it steps `k`
+//! interleaved cells per pass of `Pᵀ`, and every single-chain solve
+//! ([`SrSolver::solve_with`], [`SrSolver::solve_many_with`]) is a one-cell
+//! block.
 
 use crate::{MeasureKind, Solution};
 use regenr_ctmc::{Ctmc, Uniformized};
@@ -78,53 +83,7 @@ impl<'a> SrSolver<'a> {
     /// Like [`SrSolver::solve`] with caller-owned scratch: repeated solves
     /// through one [`Workspace`] perform no steady-state vector allocations.
     pub fn solve_with(&self, measure: MeasureKind, t: f64, ws: &mut Workspace) -> Solution {
-        assert!(t >= 0.0, "time must be non-negative");
-        let r_max = self.ctmc.max_reward();
-        if t == 0.0 || r_max == 0.0 {
-            return Solution {
-                value: self.ctmc.reward_dot(self.ctmc.initial()),
-                steps: 0,
-                error_bound: 0.0,
-            };
-        }
-        let lambda_t = self.unif.lambda * t;
-        // Discarded Poisson mass δ contributes ≤ δ·r_max to either measure.
-        let delta = (self.opts.epsilon / r_max).min(0.5);
-        let w = PoissonWeights::new(lambda_t, delta);
-
-        let stepper = self.unif.stepper(&self.opts.parallel);
-        let mut pi = ws.take_copied(self.ctmc.initial());
-        let mut next = ws.take_zeroed(pi.len());
-        let mut acc = KahanSum::new();
-        for n in 0..=w.right {
-            let rr = self.ctmc.reward_dot(&pi);
-            match measure {
-                MeasureKind::Trr => {
-                    let wn = w.pmf(n);
-                    if wn > 0.0 {
-                        acc.add(wn * rr);
-                    }
-                }
-                MeasureKind::Mrr => {
-                    acc.add(w.survival(n + 1) * rr);
-                }
-            }
-            if n < w.right {
-                stepper.step(&pi, &mut next);
-                std::mem::swap(&mut pi, &mut next);
-            }
-        }
-        ws.give(pi);
-        ws.give(next);
-        let value = match measure {
-            MeasureKind::Trr => acc.value(),
-            MeasureKind::Mrr => acc.value() / lambda_t,
-        };
-        Solution {
-            value,
-            steps: w.right as usize,
-            error_bound: self.opts.epsilon,
-        }
+        self.solve_many_with(measure, &[t], ws)[0]
     }
 
     /// Computes the measure at *many* horizons in a single propagation sweep.
@@ -133,97 +92,27 @@ impl<'a> SrSolver<'a> {
     /// only the Poisson weights differ. This method steps once up to the
     /// largest right truncation point and accumulates every horizon's
     /// weighted sum on the way — `max(Λtᵢ)` products instead of `Σ Λtᵢ`.
-    /// Values are identical to per-`t` [`SrSolver::solve`] up to roundoff.
+    /// Each value is bitwise identical to the per-`t` [`SrSolver::solve`].
     pub fn solve_many(&self, measure: MeasureKind, ts: &[f64]) -> Vec<Solution> {
         self.solve_many_with(measure, ts, &mut Workspace::new())
     }
 
     /// Like [`SrSolver::solve_many`] with caller-owned scratch: the
-    /// propagation loop performs zero steady-state heap allocations.
+    /// propagation loop performs zero steady-state heap allocations. A
+    /// one-cell [`solve_block_with`].
     pub fn solve_many_with(
         &self,
         measure: MeasureKind,
         ts: &[f64],
         ws: &mut Workspace,
     ) -> Vec<Solution> {
-        let r_max = self.ctmc.max_reward();
-        if ts.is_empty() {
-            return Vec::new();
-        }
-        if r_max == 0.0 || ts.iter().all(|&t| t == 0.0) {
-            return ts
-                .iter()
-                .map(|&t| self.solve_with(measure, t, ws))
-                .collect();
-        }
-        let delta = (self.opts.epsilon / r_max).min(0.5);
-        let weights: Vec<Option<PoissonWeights>> = ts
-            .iter()
-            .map(|&t| {
-                assert!(t >= 0.0, "time must be non-negative");
-                (t > 0.0).then(|| PoissonWeights::new(self.unif.lambda * t, delta))
-            })
-            .collect();
-        let max_right = weights
-            .iter()
-            .flatten()
-            .map(|w| w.right)
-            .max()
-            .expect("at least one positive horizon");
-
-        let stepper = self.unif.stepper(&self.opts.parallel);
-        let mut pi = ws.take_copied(self.ctmc.initial());
-        regenr_failpoint::failpoint!("sr-nan", |_fired| {
-            if let Some(slot) = pi.first_mut() {
-                *slot = f64::NAN;
-            }
-        });
-        let mut next = ws.take_zeroed(pi.len());
-        let mut accs = vec![KahanSum::new(); ts.len()];
-        for n in 0..=max_right {
-            regenr_failpoint::failpoint!("sr-step");
-            let rr = self.ctmc.reward_dot(&pi);
-            for (acc, w) in accs.iter_mut().zip(&weights) {
-                let Some(w) = w else { continue };
-                if n > w.right {
-                    continue;
-                }
-                match measure {
-                    MeasureKind::Trr => {
-                        let wn = w.pmf(n);
-                        if wn > 0.0 {
-                            acc.add(wn * rr);
-                        }
-                    }
-                    MeasureKind::Mrr => acc.add(w.survival(n + 1) * rr),
-                }
-            }
-            if n < max_right {
-                stepper.step(&pi, &mut next);
-                std::mem::swap(&mut pi, &mut next);
-            }
-        }
-        ws.give(pi);
-        ws.give(next);
-        accs.iter()
-            .zip(&weights)
-            .zip(ts)
-            .map(|((acc, w), &t)| match w {
-                None => Solution {
-                    value: self.ctmc.reward_dot(self.ctmc.initial()),
-                    steps: 0,
-                    error_bound: 0.0,
-                },
-                Some(w) => Solution {
-                    value: match measure {
-                        MeasureKind::Trr => acc.value(),
-                        MeasureKind::Mrr => acc.value() / (self.unif.lambda * t),
-                    },
-                    steps: w.right as usize,
-                    error_bound: self.opts.epsilon,
-                },
-            })
-            .collect()
+        let cell = SrBlockCell {
+            ctmc: self.ctmc,
+            measure,
+            ts,
+        };
+        let mut out = solve_block_with(&self.unif, &self.opts, &[cell], ws);
+        out.pop().expect("one cell in, one cell out")
     }
 
     /// The transient state distribution `π(t)` (used by tests and examples).
@@ -240,24 +129,16 @@ impl<'a> SrSolver<'a> {
         }
         let lambda_t = self.unif.lambda * t;
         let w = PoissonWeights::new(lambda_t, self.opts.epsilon.min(1e-10));
-        let stepper = self.unif.stepper(&self.opts.parallel);
-        let mut pi = ws.take_copied(self.ctmc.initial());
-        let mut next = ws.take_zeroed(n_states);
         let mut out = vec![KahanSum::new(); n_states];
-        for n in 0..=w.right {
+        let initial = [self.ctmc.initial()];
+        propagate(&self.unif, &self.opts, &initial, w.right, ws, |n, pi| {
             let wn = w.pmf(n);
             if wn > 0.0 {
-                for (o, p) in out.iter_mut().zip(&pi) {
+                for (o, p) in out.iter_mut().zip(pi) {
                     o.add(wn * p);
                 }
             }
-            if n < w.right {
-                stepper.step(&pi, &mut next);
-                std::mem::swap(&mut pi, &mut next);
-            }
-        }
-        ws.give(pi);
-        ws.give(next);
+        });
         out.into_iter().map(|k| k.value()).collect()
     }
 }
@@ -284,46 +165,50 @@ struct BlockCellRun {
     accs: Vec<KahanSum>,
     /// The cell's own largest right truncation point — accumulation stops
     /// here even though the shared propagation may continue for other
-    /// cells (exactly the per-horizon skip `solve_many_with` applies).
+    /// cells.
     right: u64,
 }
 
-/// One strided reward dot, replicating [`Ctmc::reward_dot`]'s exact
-/// operation order on column `j` of a `k`-interleaved blocked state:
-/// `Σ_s pi[s*k + j] · r_s`, accumulated left to right from `0.0` like the
-/// serial `sum()`. Same adds in the same order ⇒ bitwise identical to
-/// `reward_dot` on the extracted column.
+/// The reward dot of column `j` of a `k`-interleaved blocked state, in
+/// [`Ctmc::reward_dot`]'s exact operation order: `Σ_s pi[s*k + j] · r_s`
+/// summed left to right. Same adds in the same order ⇒ bitwise identical
+/// to `reward_dot` on the extracted column (and *is* `reward_dot` at
+/// `k = 1`).
 fn reward_dot_strided(rewards: &[f64], pi: &[f64], k: usize, j: usize) -> f64 {
-    let mut acc = 0.0;
-    for (s, r) in rewards.iter().enumerate() {
-        acc += pi[s * k + j] * r;
-    }
-    acc
+    pi[j..]
+        .iter()
+        .step_by(k)
+        .zip(rewards)
+        .map(|(p, r)| p * r)
+        .sum()
 }
 
-/// Solves every cell's horizon grid in **one blocked propagation**: the
-/// cells' state distributions are interleaved into a `k`-column block and
-/// every DTMC step is a single streaming pass of `Pᵀ` moving all `k`
-/// (see [`regenr_ctmc::Stepper::step_block`]) — this is what breaks the
+/// Solves every cell's horizon grid in **one blocked propagation** — the
+/// only SR propagation loop ([`SrSolver::solve_with`] and
+/// [`SrSolver::solve_many_with`] are one-cell calls into it). The cells'
+/// state distributions are interleaved into a `k`-column block and every
+/// DTMC step is a single streaming pass of `Pᵀ` moving all `k` (see
+/// [`regenr_ctmc::Stepper::step`]) — this is what breaks the
 /// memory-bandwidth wall when an engine sweep holds many cells over one
 /// uniformization (different initial distributions, rewards, measures, or
 /// horizon grids).
 ///
-/// Every cell's solutions are **bitwise identical** to what
-/// [`SrSolver::solve_many_with`] would produce for that cell alone: blocked
-/// stepping is bitwise per column, the strided reward dot replicates the
-/// serial operation order, and each cell's accumulators see exactly the
-/// same terms in the same order (cells stop accumulating at their own
-/// right truncation point while the shared propagation continues).
+/// Every cell's solutions are **bitwise identical** to solving that cell
+/// alone: blocked stepping is bitwise per column, the strided reward dot
+/// replicates the serial operation order, and each cell's accumulators see
+/// exactly the same terms in the same order (cells stop accumulating at
+/// their own right truncation point while the shared propagation
+/// continues).
 ///
-/// Degenerate cells (no horizons, zero rewards, all-zero horizons) take
-/// the serial path, as does a single-cell group.
+/// Degenerate cells (no horizons, zero rewards, all-zero horizons) never
+/// propagate: each horizon reports the initial reward with zero steps.
 ///
 /// # Panics
-/// If `cells` is empty or longer than [`MAX_RHS_BLOCK`], a cell's chain
-/// does not match `unif`, or a horizon is negative.
+/// If `cells` is empty or longer than [`MAX_RHS_BLOCK`], `opts.epsilon`
+/// is not positive, a cell's chain does not match `unif`, or a horizon is
+/// negative.
 pub fn solve_block_with(
-    unif: &Arc<Uniformized>,
+    unif: &Uniformized,
     opts: &SrOptions,
     cells: &[SrBlockCell<'_>],
     ws: &mut Workspace,
@@ -333,84 +218,57 @@ pub fn solve_block_with(
         "block of {} cells out of range",
         cells.len()
     );
-    let n = unif.n_states();
-    let mut out: Vec<Option<Vec<Solution>>> = vec![None; cells.len()];
-    // Split serial-path cells (the degenerate predicates of
-    // `solve_many_with`) from cells that propagate.
-    let mut active: Vec<usize> = Vec::new();
-    for (i, cell) in cells.iter().enumerate() {
-        let solver = SrSolver::with_uniformized(cell.ctmc, unif.clone(), *opts);
-        let degenerate = cell.ts.is_empty()
-            || cell.ctmc.max_reward() == 0.0
-            || cell.ts.iter().all(|&t| t == 0.0);
-        if degenerate {
-            out[i] = Some(solver.solve_many_with(cell.measure, cell.ts, ws));
-        } else {
-            active.push(i);
-        }
-    }
-    if active.len() == 1 {
-        let i = active[0];
-        let solver = SrSolver::with_uniformized(cells[i].ctmc, unif.clone(), *opts);
-        out[i] = Some(solver.solve_many_with(cells[i].measure, cells[i].ts, ws));
-    } else if !active.is_empty() {
-        let k = active.len();
-        // Per-cell weights and accumulators, mirroring `solve_many_with`.
-        let mut runs: Vec<BlockCellRun> = active
-            .iter()
-            .map(|&i| {
-                let cell = &cells[i];
-                let r_max = cell.ctmc.max_reward();
-                let delta = (opts.epsilon / r_max).min(0.5);
-                let weights: Vec<Option<PoissonWeights>> = cell
-                    .ts
-                    .iter()
-                    .map(|&t| {
-                        assert!(t >= 0.0, "time must be non-negative");
-                        (t > 0.0).then(|| PoissonWeights::new(unif.lambda * t, delta))
-                    })
-                    .collect();
-                let right = weights
-                    .iter()
-                    .flatten()
-                    .map(|w| w.right)
-                    .max()
-                    .expect("active cell has a positive horizon");
-                BlockCellRun {
-                    accs: vec![KahanSum::new(); weights.len()],
-                    weights,
-                    right,
-                }
+    assert!(opts.epsilon > 0.0, "epsilon must be positive");
+    // Per-cell Poisson windows; degenerate cells get no run and never
+    // occupy a block column.
+    let mut runs: Vec<Option<BlockCellRun>> = cells
+        .iter()
+        .map(|cell| {
+            unif.assert_built_from(cell.ctmc);
+            assert!(
+                cell.ts.iter().all(|&t| t >= 0.0),
+                "time must be non-negative"
+            );
+            let r_max = cell.ctmc.max_reward();
+            if r_max == 0.0 || cell.ts.iter().all(|&t| t == 0.0) {
+                return None;
+            }
+            // Discarded Poisson mass δ contributes ≤ δ·r_max to either
+            // measure.
+            let delta = (opts.epsilon / r_max).min(0.5);
+            let weights: Vec<Option<PoissonWeights>> = cell
+                .ts
+                .iter()
+                .map(|&t| (t > 0.0).then(|| PoissonWeights::new(unif.lambda * t, delta)))
+                .collect();
+            let right = weights.iter().flatten().map(|w| w.right).max()?;
+            Some(BlockCellRun {
+                accs: vec![KahanSum::new(); weights.len()],
+                weights,
+                right,
             })
-            .collect();
-        let global_right = runs.iter().map(|r| r.right).max().unwrap();
-
-        let stepper = unif.stepper_block(&opts.parallel, k);
-        let mut pi = ws.take_zeroed_block(n, k);
-        for (j, &i) in active.iter().enumerate() {
-            for (s, &v) in cells[i].ctmc.initial().iter().enumerate() {
-                pi[s * k + j] = v;
-            }
-        }
-        regenr_failpoint::failpoint!("sr-block-nan", |_fired| {
-            if let Some(slot) = pi.first_mut() {
-                *slot = f64::NAN;
-            }
-        });
-        let mut next = ws.take_zeroed_block(n, k);
-        for step in 0..=global_right {
-            for (j, &i) in active.iter().enumerate() {
-                let run = &mut runs[j];
+        })
+        .collect();
+    let mut active: Vec<(&SrBlockCell<'_>, &mut BlockCellRun)> = cells
+        .iter()
+        .zip(&mut runs)
+        .filter_map(|(cell, run)| Some((cell, run.as_mut()?)))
+        .collect();
+    if let Some(right) = active.iter().map(|(_, run)| run.right).max() {
+        let k = active.len();
+        let initials: Vec<&[f64]> = active.iter().map(|(cell, _)| cell.ctmc.initial()).collect();
+        propagate(unif, opts, &initials, right, ws, |step, pi| {
+            for (j, (cell, run)) in active.iter_mut().enumerate() {
                 if step > run.right {
                     continue;
                 }
-                let rr = reward_dot_strided(cells[i].ctmc.rewards(), &pi, k, j);
+                let rr = reward_dot_strided(cell.ctmc.rewards(), pi, k, j);
                 for (acc, w) in run.accs.iter_mut().zip(&run.weights) {
                     let Some(w) = w else { continue };
                     if step > w.right {
                         continue;
                     }
-                    match cells[i].measure {
+                    match cell.measure {
                         MeasureKind::Trr => {
                             let wn = w.pmf(step);
                             if wn > 0.0 {
@@ -421,42 +279,78 @@ pub fn solve_block_with(
                     }
                 }
             }
-            if step < global_right {
-                stepper.step_block(&pi, &mut next);
-                std::mem::swap(&mut pi, &mut next);
-            }
-        }
-        ws.give(pi);
-        ws.give(next);
-        for (run, &i) in runs.into_iter().zip(&active) {
-            let cell = &cells[i];
-            out[i] = Some(
-                run.accs
-                    .iter()
-                    .zip(&run.weights)
-                    .zip(cell.ts)
-                    .map(|((acc, w), &t)| match w {
-                        None => Solution {
-                            value: cell.ctmc.reward_dot(cell.ctmc.initial()),
-                            steps: 0,
-                            error_bound: 0.0,
+        });
+    }
+
+    cells
+        .iter()
+        .zip(runs)
+        .map(|(cell, run)| {
+            let initial = || Solution {
+                value: cell.ctmc.reward_dot(cell.ctmc.initial()),
+                steps: 0,
+                error_bound: 0.0,
+            };
+            let Some(run) = run else {
+                return cell.ts.iter().map(|_| initial()).collect();
+            };
+            run.accs
+                .iter()
+                .zip(&run.weights)
+                .zip(cell.ts)
+                .map(|((acc, w), &t)| match w {
+                    None => initial(),
+                    Some(w) => Solution {
+                        value: match cell.measure {
+                            MeasureKind::Trr => acc.value(),
+                            MeasureKind::Mrr => acc.value() / (unif.lambda * t),
                         },
-                        Some(w) => Solution {
-                            value: match cell.measure {
-                                MeasureKind::Trr => acc.value(),
-                                MeasureKind::Mrr => acc.value() / (unif.lambda * t),
-                            },
-                            steps: w.right as usize,
-                            error_bound: opts.epsilon,
-                        },
-                    })
-                    .collect(),
-            );
+                        steps: w.right as usize,
+                        error_bound: opts.epsilon,
+                    },
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The SR propagation loop — the only one in this module: interleaves the
+/// `k = initials.len()` distributions into a block and visits
+/// `π_0, π_1, …, π_right` (each `k`-interleaved, `pi[s*k + j]`), one
+/// streaming pass of `Pᵀ` per step.
+fn propagate(
+    unif: &Uniformized,
+    opts: &SrOptions,
+    initials: &[&[f64]],
+    right: u64,
+    ws: &mut Workspace,
+    mut visit: impl FnMut(u64, &[f64]),
+) {
+    let k = initials.len();
+    let n = unif.n_states();
+    let stepper = unif.stepper_block(&opts.parallel, k);
+    let mut pi = ws.take_zeroed_block(n, k);
+    for (j, initial) in initials.iter().enumerate() {
+        for (s, &v) in initial.iter().enumerate() {
+            pi[s * k + j] = v;
         }
     }
-    out.into_iter()
-        .map(|sols| sols.expect("every cell solved"))
-        .collect()
+    regenr_failpoint::failpoint!("sr-nan", |_fired| {
+        if let Some(slot) = pi.first_mut() {
+            *slot = f64::NAN;
+        }
+    });
+    let mut next = ws.take_zeroed_block(n, k);
+    for step in 0..=right {
+        regenr_failpoint::failpoint!("sr-step");
+        visit(step, &pi);
+        if step < right {
+            stepper.step(&pi, &mut next);
+            std::mem::swap(&mut pi, &mut next);
+        }
+    }
+    ws.give(pi);
+    ws.give(next);
 }
 
 #[cfg(test)]
@@ -596,9 +490,59 @@ mod tests {
         );
     }
 
+    /// The single-vector SR loop, written out independently of the blocked
+    /// propagation: `reward_dot` on the plain distribution and one serial
+    /// `Pᵀ·π` product per step. The reference the blocked solve must match
+    /// bit for bit.
+    fn serial_reference(unif: &Uniformized, opts: &SrOptions, cell: &SrBlockCell) -> Vec<Solution> {
+        let ctmc = cell.ctmc;
+        let r_max = ctmc.max_reward();
+        let initial = Solution {
+            value: ctmc.reward_dot(ctmc.initial()),
+            steps: 0,
+            error_bound: 0.0,
+        };
+        cell.ts
+            .iter()
+            .map(|&t| {
+                if t == 0.0 || r_max == 0.0 {
+                    return initial;
+                }
+                let lambda_t = unif.lambda * t;
+                let w = PoissonWeights::new(lambda_t, (opts.epsilon / r_max).min(0.5));
+                let mut pi = ctmc.initial().to_vec();
+                let mut next = vec![0.0; pi.len()];
+                let mut acc = KahanSum::new();
+                for n in 0..=w.right {
+                    let rr = ctmc.reward_dot(&pi);
+                    match cell.measure {
+                        MeasureKind::Trr => {
+                            let wn = w.pmf(n);
+                            if wn > 0.0 {
+                                acc.add(wn * rr);
+                            }
+                        }
+                        MeasureKind::Mrr => acc.add(w.survival(n + 1) * rr),
+                    }
+                    unif.p_t.mul_vec_into(&pi, &mut next);
+                    std::mem::swap(&mut pi, &mut next);
+                }
+                Solution {
+                    value: match cell.measure {
+                        MeasureKind::Trr => acc.value(),
+                        MeasureKind::Mrr => acc.value() / lambda_t,
+                    },
+                    steps: w.right as usize,
+                    error_bound: opts.epsilon,
+                }
+            })
+            .collect()
+    }
+
     /// Blocked multi-cell solves must be bitwise identical per cell to the
-    /// serial `solve_many_with` — different initials, rewards, measures,
-    /// horizon grids, and degenerate members included.
+    /// serial single-vector loop — different initials, rewards, measures,
+    /// horizon grids, and degenerate members (zero rewards; `t = 0` only)
+    /// riding inside k ≥ 2 blocks included.
     #[test]
     fn blocked_solve_is_bitwise_identical_to_serial_per_cell() {
         let n = 40;
@@ -621,7 +565,13 @@ mod tests {
         let cell_c = base.with_rewards(vec![0.0; n]).unwrap(); // degenerate
         let opts = SrOptions::default();
         let unif = Arc::new(Uniformized::new(&base, opts.theta));
-        let grids: [&[f64]; 4] = [&[0.5, 3.0, 10.0], &[7.0, 0.0], &[1.0], &[2.5, 40.0]];
+        let grids: [&[f64]; 5] = [
+            &[0.5, 3.0, 10.0],
+            &[7.0, 0.0],
+            &[1.0],
+            &[0.0, 0.0], // degenerate: t = 0 only
+            &[2.5, 40.0],
+        ];
         let cells = [
             SrBlockCell {
                 ctmc: &base,
@@ -639,9 +589,14 @@ mod tests {
                 ts: grids[2],
             },
             SrBlockCell {
+                ctmc: &cell_b,
+                measure: MeasureKind::Trr,
+                ts: grids[3],
+            },
+            SrBlockCell {
                 ctmc: &base,
                 measure: MeasureKind::Mrr,
-                ts: grids[3],
+                ts: grids[4],
             },
         ];
         for take in 1..=cells.len() {
@@ -649,19 +604,22 @@ mod tests {
             let got = solve_block_with(&unif, &opts, &cells[..take], &mut ws);
             assert_eq!(got.len(), take);
             for (cell, sols) in cells[..take].iter().zip(&got) {
+                let want = serial_reference(&unif, &opts, cell);
                 let solver = SrSolver::with_uniformized(cell.ctmc, unif.clone(), opts);
-                let want = solver.solve_many_with(cell.measure, cell.ts, &mut Workspace::new());
+                let alone = solver.solve_many_with(cell.measure, cell.ts, &mut Workspace::new());
                 assert_eq!(want.len(), sols.len());
-                for (w, g) in want.iter().zip(sols) {
-                    assert_eq!(
-                        w.value.to_bits(),
-                        g.value.to_bits(),
-                        "take={take} {:?} ts={:?}",
-                        cell.measure,
-                        cell.ts
-                    );
-                    assert_eq!(w.steps, g.steps);
-                    assert_eq!(w.error_bound, g.error_bound);
+                for ((w, g), a) in want.iter().zip(sols).zip(&alone) {
+                    for got in [g, a] {
+                        assert_eq!(
+                            w.value.to_bits(),
+                            got.value.to_bits(),
+                            "take={take} {:?} ts={:?}",
+                            cell.measure,
+                            cell.ts
+                        );
+                        assert_eq!(w.steps, got.steps);
+                        assert_eq!(w.error_bound, got.error_bound);
+                    }
                 }
             }
         }
