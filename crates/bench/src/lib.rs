@@ -8,9 +8,9 @@
 //! * horizons: `t ∈ {1, 10, 10², 10³, 10⁴, 10⁵} h`;
 //! * error bound `ε = 10⁻¹²`.
 //!
-//! [`Workload`] materializes and caches the four *built* chains; the `repro`
-//! binary and the criterion benches share it. Solver-side artifacts
-//! (uniformizations, killed-chain parameters) are cached one layer down by
+//! [`Workload`] materializes and caches the four *built* chains for the
+//! `repro` binary. Solver-side artifacts (uniformizations, killed-chain
+//! parameters) are cached one layer down by
 //! `regenr_engine::ArtifactCache`, which generalizes this per-chain memo to
 //! arbitrary models keyed by structural fingerprint — `repro engine` runs
 //! the same grid through that path.

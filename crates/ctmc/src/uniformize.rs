@@ -7,8 +7,8 @@
 
 use crate::chain::Ctmc;
 use regenr_sparse::{
-    effective_threads, Backend, BackendChoice, ChunkPlan, CsrMatrix, IndexWidthChoice,
-    KernelChoice, KernelKind, ParallelConfig, SellSort, WorkerPool, MAX_RHS_BLOCK,
+    effective_threads, Backend, BackendChoice, ChunkPlan, CsrMatrix, KernelChoice, KernelKind,
+    ParallelConfig, WorkerPool, MAX_RHS_BLOCK,
 };
 use std::sync::{Arc, Mutex};
 
@@ -21,10 +21,11 @@ use std::sync::{Arc, Mutex};
 type PlanBytesHook = Arc<dyn Fn(usize) + Send + Sync>;
 
 /// Shared memo of nnz-balanced [`ChunkPlan`]s for `Pᵀ`, keyed by
-/// [`PlanKey`] `(chunks, kernel, backend, block, index width, σ-sort)` — a
-/// plan carries the resolved structure-adaptive kernel layout and execution
-/// backend, so forcing different kernels, backends, or layout options
-/// yields distinct plans. Wrapped in an `Arc` so clones of a
+/// [`PlanKey`] `(chunks, kernel, backend)` — a plan carries the resolved
+/// structure-adaptive kernel layout and execution backend, so forcing
+/// different kernels or backends yields distinct plans. The layout is a
+/// function of the matrix and one plan serves every blocked-RHS width, so
+/// serial and blocked steppers share it. Wrapped in an `Arc` so clones of a
 /// [`Uniformized`] share the same plans (they describe the same matrix);
 /// the inner list is tiny — one entry per distinct configuration ever
 /// requested.
@@ -32,17 +33,12 @@ type PlanBytesHook = Arc<dyn Fn(usize) + Send + Sync>;
 struct PlanCache(Arc<Mutex<PlanCacheInner>>);
 
 /// Everything that distinguishes one cached plan from another: the chunk
-/// decomposition, the kernel/backend resolution, the blocked-RHS width the
-/// stepper will drive it at, and the layout options (column-index storage
-/// width, SELL-σ sorting).
+/// decomposition and the kernel/backend resolution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct PlanKey {
     chunks: usize,
     kernel: KernelChoice,
     backend: BackendChoice,
-    block: usize,
-    width: IndexWidthChoice,
-    sort: SellSort,
 }
 
 /// `(key, plan)` pairs; linear scan — a handful of entries at most.
@@ -70,13 +66,11 @@ impl PlanCache {
             if let Some((_, plan)) = inner.plans.iter().find(|(k, _)| *k == key) {
                 return plan.clone();
             }
-            let plan = Arc::new(ChunkPlan::with_options(
+            let plan = Arc::new(ChunkPlan::with_kernel_backend(
                 matrix,
                 key.chunks,
                 key.kernel,
                 key.backend,
-                key.width,
-                key.sort,
             ));
             inner.plans.push((key, plan.clone()));
             let bytes = plan.kernel_bytes();
@@ -128,8 +122,9 @@ pub struct Stepper<'a> {
     /// one thread requested).
     plan: Arc<ChunkPlan>,
     pool: &'static Arc<WorkerPool>,
-    /// Blocked-RHS width `k` this stepper was planned for: how many
-    /// interleaved distributions one [`Stepper::step`] pass moves.
+    /// Blocked-RHS width `k`: how many interleaved distributions one
+    /// [`Stepper::step`] pass moves. Not part of the plan — every width
+    /// shares the uniformization's one plan per configuration.
     block: usize,
 }
 
@@ -144,19 +139,9 @@ impl Stepper<'_> {
             .mul_mat_pooled_into(pi, out, &self.plan, self.pool, self.block);
     }
 
-    /// The blocked-RHS width this stepper was planned for (1 = serial).
+    /// The blocked-RHS width this stepper steps (1 = serial).
     pub fn block(&self) -> usize {
         self.block
-    }
-
-    /// The resolved column-index storage width in bits (16 or 32).
-    pub fn index_width(&self) -> u8 {
-        self.plan.index_width()
-    }
-
-    /// Whether the resolved layout is SELL-σ row-sorted.
-    pub fn sorted(&self) -> bool {
-        self.plan.sorted()
     }
 
     /// Whether steps are dispatched to the worker pool (`false` ⇒ the
@@ -228,12 +213,12 @@ impl Uniformized {
         self.stepper_block(cfg, 1)
     }
 
-    /// Like [`Uniformized::stepper`] planned for blocked-RHS stepping:
+    /// Like [`Uniformized::stepper`] for blocked-RHS stepping:
     /// [`Stepper::step`] moves `block` interleaved distributions per
     /// streaming pass of `Pᵀ`. Plans are cached per
-    /// `(chunks, kernel, backend, block, index width, σ-sort)`, so mixing
-    /// serial and blocked steppers over one uniformization never rebuilds
-    /// a layout it already has for the same key.
+    /// `(chunks, kernel, backend)` and shared across every width, so mixing
+    /// serial and blocked steppers over one uniformization builds (and
+    /// charges) each layout once.
     ///
     /// # Panics
     /// If `block` is 0 or exceeds [`MAX_RHS_BLOCK`].
@@ -255,9 +240,6 @@ impl Uniformized {
             chunks,
             kernel: cfg.kernel,
             backend: cfg.backend,
-            block,
-            width: cfg.index_width,
-            sort: cfg.sell_sort,
         };
         Stepper {
             p_t: &self.p_t,
@@ -562,17 +544,15 @@ mod tests {
         // Same configuration: the cached plan must not charge again.
         let _ = u.stepper(&cfg);
         assert_eq!(charged.load(Ordering::Relaxed), first);
-        // Layout-free kernels (zero layout bytes) never invoke the hook:
-        // shortrow under the full-width index policy keeps no layout.
+        // Layout-free kernels (zero layout bytes) never invoke the hook.
         let _ = u.stepper(&ParallelConfig {
-            kernel: KernelChoice::ShortRow,
-            index_width: IndexWidthChoice::W32,
+            kernel: KernelChoice::Generic,
             ..cfg
         });
         assert_eq!(charged.load(Ordering::Relaxed), first);
         assert_eq!(u.plan_bytes(), first);
-        // Under the auto policy the same kernel takes a compact u16 index
-        // copy (64 columns fit), a lazy layout charged like any other.
+        // Shortrow takes a compact u16 index copy (64 columns fit), a lazy
+        // layout charged like any other.
         let _ = u.stepper(&ParallelConfig {
             kernel: KernelChoice::ShortRow,
             ..cfg
@@ -701,7 +681,8 @@ mod tests {
     }
 
     /// Blocked steppers: each interleaved column steps bitwise identically
-    /// to the serial stepper, and plans are cached per block width.
+    /// to the serial stepper, and every block width shares the serial
+    /// stepper's plan — one layout per uniformization and configuration.
     #[test]
     fn blocked_stepper_is_bitwise_serial_per_column_and_caches_per_block() {
         let u = Uniformized::new(&chain(), 0.0);
@@ -717,6 +698,7 @@ mod tests {
         for k in [1usize, 2, 4, 8] {
             let blocked = u.stepper_block(&cfg, k);
             assert_eq!(blocked.block(), k);
+            assert!(Arc::ptr_eq(&serial.plan, &blocked.plan), "k={k}");
             let xk: Vec<f64> = (0..3 * k).map(|i| pi[i / k]).collect();
             let mut got = vec![0.0; 3 * k];
             blocked.step(&xk, &mut got);
@@ -730,10 +712,7 @@ mod tests {
                 }
             }
         }
-        // block=1 shares the serial plan; other widths resolve their own.
-        assert!(Arc::ptr_eq(&serial.plan, &u.stepper_block(&cfg, 1).plan));
-        let b4 = u.stepper_block(&cfg, 4);
-        assert!(!Arc::ptr_eq(&serial.plan, &b4.plan));
-        assert!(Arc::ptr_eq(&b4.plan, &u.stepper_block(&cfg, 4).plan));
+        let plans = regenr_sparse::pool::lock(&u.plans.0).plans.len();
+        assert_eq!(plans, 1, "one plan across every block width");
     }
 }

@@ -40,8 +40,8 @@ use crate::EngineError;
 use regenr_ctmc::{Ctmc, CtmcError, Uniformized};
 use regenr_laplace::InverterOptions;
 use regenr_sparse::{
-    effective_threads, ParallelConfig, RhsBlockChoice, WorkerPool, WorkerPoolStats, Workspace,
-    WorkspaceStats,
+    effective_threads, ParallelConfig, WorkerPool, WorkerPoolStats, Workspace, WorkspaceStats,
+    MAX_RHS_BLOCK,
 };
 use regenr_transient::{solve_block_with, MeasureKind, SrBlockCell, SrOptions};
 use std::fmt;
@@ -261,14 +261,14 @@ pub struct ExecStats {
     pub workspace: WorkspaceStats,
     /// Sweep cells (horizons) solved inside blocked propagations: SR jobs
     /// whose models share a generator (same uniformization fingerprint) and
-    /// error budget are grouped — up to [`regenr_sparse::MAX_RHS_BLOCK`]
-    /// per group, width set by [`ParallelConfig::rhs_block`] — and stepped
+    /// error budget are grouped — up to [`MAX_RHS_BLOCK`] per group, stepped
+    /// [`block_width`](regenr_sparse::KernelKind::block_width) at a time —
     /// through one multi-vector SpMM instead of one SpMV per job, reading
     /// the matrix once per step for the whole group. Values stay bitwise
     /// identical to solving each job alone; this counter is the only
     /// observable difference. Only healthy members of units wider than one
-    /// job count. `0` when nothing grouped (distinct generators, mixed
-    /// tolerances, or `rhs_block = 1`).
+    /// job count. `0` when nothing grouped (distinct generators or mixed
+    /// tolerances).
     pub blocked_cells: usize,
 }
 
@@ -572,14 +572,13 @@ fn health_check(req: &SolveRequest, reports: &[SolveReport]) -> Result<(), Strin
 /// Groups planned jobs into claimable sweep units: lists of job indices
 /// one worker executes together (see [`Engine::run_unit`]). SR jobs bucket
 /// by `(unif_fingerprint, epsilon)` — equal keys uniformize identically and
-/// share `SrOptions` — and each bucket is chunked to the width
-/// [`RhsBlockChoice::plan_width`] picks (`Auto` → the maximum block width
-/// when a bucket has company — the executing worker sub-splits to the
-/// resolved kernel's preferred width once it knows it — `1` disables
-/// grouping entirely). Everything else — other methods, singleton buckets,
-/// odd tail chunks of one — is a unit of width 1. Units come out in
-/// first-job order, so claim order matches the ungrouped sweep.
-fn plan_units(jobs: &[Job], reqs: &[SolveRequest], rhs_block: RhsBlockChoice) -> Vec<Vec<usize>> {
+/// share `SrOptions` — and each bucket is chunked to [`MAX_RHS_BLOCK`]
+/// jobs; the executing worker sub-splits to the resolved kernel's
+/// [`block_width`](regenr_sparse::KernelKind::block_width) once it knows
+/// the kernel. Everything else — other methods, singleton buckets, odd
+/// tail chunks of one — is a unit of width 1. Units come out in first-job
+/// order, so claim order matches the ungrouped sweep.
+fn plan_units(jobs: &[Job], reqs: &[SolveRequest]) -> Vec<Vec<usize>> {
     use std::collections::HashMap;
     let mut buckets: HashMap<(u64, u64), Vec<usize>> = HashMap::new();
     for (i, job) in jobs.iter().enumerate() {
@@ -593,7 +592,7 @@ fn plan_units(jobs: &[Job], reqs: &[SolveRequest], rhs_block: RhsBlockChoice) ->
     // Indexed by each unit's first job; followers leave their slot empty.
     let mut units: Vec<Option<Vec<usize>>> = (0..jobs.len()).map(|i| Some(vec![i])).collect();
     for members in buckets.into_values() {
-        for chunk in members.chunks(rhs_block.plan_width(members.len())) {
+        for chunk in members.chunks(MAX_RHS_BLOCK) {
             for &j in &chunk[1..] {
                 units[j] = None;
             }
@@ -617,10 +616,10 @@ struct Execution<'a> {
 }
 
 impl<'a> Execution<'a> {
-    fn new(reqs: &'a [SolveRequest], jobs: Vec<Job>, rhs_block: RhsBlockChoice) -> Self {
+    fn new(reqs: &'a [SolveRequest], jobs: Vec<Job>) -> Self {
         Execution {
             reqs,
-            units: plan_units(&jobs, reqs, rhs_block),
+            units: plan_units(&jobs, reqs),
             results: jobs.iter().map(|_| Mutex::new(None)).collect(),
             jobs,
             next: AtomicUsize::new(0),
@@ -860,9 +859,8 @@ impl Engine {
                     // that the kernel is known, sub-split to the width it
                     // prefers. Each chunk is one blocked solve, and member
                     // order is preserved.
-                    let width = cfg.parallel.rhs_block.resolve_for(kind, cells.len());
                     cells
-                        .chunks(width)
+                        .chunks(kind.block_width())
                         .flat_map(|chunk| solve_block_with(unif, &opts, chunk, ws))
                         .map(|sols| Ok((sols.into_iter().map(Into::into).collect(), false)))
                         .collect()
@@ -1179,11 +1177,7 @@ impl Engine {
     /// error.
     pub fn solve(&self, req: &SolveRequest) -> Result<Vec<SolveReport>, EngineError> {
         let jobs = self.plan(0, req)?;
-        let exec = Execution::new(
-            std::slice::from_ref(req),
-            jobs,
-            self.opts.parallel.rhs_block,
-        );
+        let exec = Execution::new(std::slice::from_ref(req), jobs);
         self.drain(&exec, &NoProgress, &mut Workspace::new());
         let mut slots: Vec<Option<SolveReport>> = vec![None; req.horizons.len()];
         for (job, outcome) in exec.into_outcomes() {
@@ -1244,7 +1238,7 @@ impl Engine {
         // owns one workspace for all the units it claims, so scratch
         // vectors are reused across jobs, not just across the horizons of
         // one.
-        let exec = Execution::new(reqs, jobs, self.opts.parallel.rhs_block);
+        let exec = Execution::new(reqs, jobs);
         let workers = effective_threads(self.opts.threads).min(exec.units.len().max(1));
         let ws_totals: Mutex<WorkspaceStats> = Mutex::new(WorkspaceStats::default());
         let run_worker = || {
@@ -1584,8 +1578,9 @@ mod tests {
     /// The tentpole property at the engine layer: sweep requests whose
     /// models share a generator (different initials / rewards / measures /
     /// horizons) are solved in one blocked propagation — visible only as
-    /// `exec.blocked_cells` — and every value is bitwise identical to an
-    /// ungrouped (`rhs_block = 1`, single-thread) sweep.
+    /// `exec.blocked_cells` — and every value is bitwise identical to
+    /// solving each request alone (one single-request sweep per request,
+    /// which has nothing to group with).
     #[test]
     fn sweep_blocks_shared_generator_requests_bitwise() {
         let base = repairable();
@@ -1603,20 +1598,18 @@ mod tests {
         // a(2 cells) + b(1) + c(2) group under one generator; d does not.
         assert_eq!(blocked.exec.blocked_cells, 5);
 
-        let mut serial_opts = EngineOptions {
-            threads: 1,
-            ..Default::default()
-        };
-        serial_opts.parallel.rhs_block = RhsBlockChoice::Fixed(1);
-        let serial = Engine::with_options(serial_opts).sweep(&reqs);
-        assert!(serial.failures.is_empty());
-        assert_eq!(
-            serial.exec.blocked_cells, 0,
-            "rhs_block=1 disables grouping"
-        );
+        let alone: Vec<SolveReport> = reqs
+            .iter()
+            .flat_map(|req| {
+                let report = Engine::new().sweep(std::slice::from_ref(req));
+                assert!(report.failures.is_empty(), "{:?}", report.failures);
+                assert_eq!(report.exec.blocked_cells, 0, "{} has no company", req.name);
+                report.reports
+            })
+            .collect();
 
-        assert_eq!(blocked.reports.len(), serial.reports.len());
-        for (b, s) in blocked.reports.iter().zip(&serial.reports) {
+        assert_eq!(blocked.reports.len(), alone.len());
+        for (b, s) in blocked.reports.iter().zip(&alone) {
             assert_eq!((b.model.as_str(), b.t), (s.model.as_str(), s.t));
             assert_eq!(b.method, s.method);
             assert_eq!(
@@ -1630,6 +1623,30 @@ mod tests {
             assert_eq!(b.error_bound.to_bits(), s.error_bound.to_bits());
             assert_eq!((b.kernel, b.backend), (s.kernel, s.backend));
         }
+    }
+
+    /// Grouping is one fixed rule: SR jobs sharing a generator and an
+    /// error budget chunk to [`MAX_RHS_BLOCK`], a job on another generator
+    /// stays a unit of one, and units keep first-job order.
+    #[test]
+    fn plan_units_chunk_shared_generator_buckets_to_the_max_block() {
+        let sr = MethodChoice::Fixed(Method::Sr);
+        let mut reqs: Vec<SolveRequest> = (0..10)
+            .map(|i| SolveRequest::new(format!("r{i}"), repairable(), vec![1.0]).method(sr))
+            .collect();
+        reqs.push(SolveRequest::new("other", non_repairable(), vec![1.0]).method(sr));
+        let engine = Engine::new();
+        let jobs: Vec<Job> = reqs
+            .iter()
+            .enumerate()
+            .flat_map(|(i, req)| engine.plan(i, req).unwrap())
+            .collect();
+        assert_eq!(jobs.len(), 11);
+        let units = plan_units(&jobs, &reqs);
+        assert_eq!(
+            units,
+            vec![(0..MAX_RHS_BLOCK).collect(), vec![8, 9], vec![10]]
+        );
     }
 
     /// Regression (PR 2): a panicking solver job used to unwind through the

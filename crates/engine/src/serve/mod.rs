@@ -407,8 +407,6 @@ const FIXED_ENGINE_KEYS: &[&str] = &[
     "threads",
     "kernel",
     "backend",
-    "rhs_block",
-    "index_width",
     "theta",
     "small_lambda_t",
     "tiny_lambda_t",
@@ -1039,9 +1037,8 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.0, 400);
         assert!(err.1.contains("fixed_engine_option"), "{}", err.1);
-        // The blocked-stepping knobs are engine-wide too: the server's
-        // stepper plans are shared across requests, so a posted spec may
-        // not retune them per request.
+        // The retired blocked-stepping knobs are unknown keys like any
+        // typo: a 400 naming the key and the accepted list.
         for knob in [
             r#""rhs_block":4"#,
             r#""index_width":"16""#,
@@ -1050,7 +1047,13 @@ mod tests {
             let body = format!(r#"{{"horizons":[1],{knob},"models":[{{"kind":"cyclic","n":3}}]}}"#);
             let err = parse_posted_spec(body.as_bytes()).map(|_| ()).unwrap_err();
             assert_eq!(err.0, 400, "{knob}");
-            assert!(err.1.contains("fixed_engine_option"), "{knob}: {}", err.1);
+            assert!(err.1.contains("bad_spec"), "{knob}: {}", err.1);
+            assert!(err.1.contains("unknown spec field"), "{knob}: {}", err.1);
+            assert!(
+                err.1.contains("known top-level fields"),
+                "{knob}: {}",
+                err.1
+            );
         }
         // Unknown keys surface the spec parser's naming error.
         let err = parse_posted_spec(

@@ -103,17 +103,11 @@
 //! forced-backend `--stable` reports diff byte-for-byte — the CI
 //! determinism jobs rely on that.
 //!
-//! Two further execution knobs tune the blocked-stepping layer.
-//! `"rhs_block"` (`auto`, `1`, `2`, `4`, `8`; string or bare integer) sets
-//! how many sweep cells sharing a generator and tolerance ride one
-//! multi-vector SpMM — `auto` groups four at a time whenever cells
-//! qualify, `1` disables grouping. `"index_width"` (`auto`, `16`, `32`)
-//! sets the column-index width of the compact kernel layouts — `auto`
-//! packs `u16` indices when the matrix is narrow enough, a forced narrow
-//! width widens transparently when it is not, and `32` keeps the CSR's own
-//! width (no compaction). Like kernels
-//! and backends, every combination is bitwise identical to the serial
-//! product, so forced `--stable` reports diff byte-for-byte.
+//! Which layout a kernel uses and how many cells share one blocked pass
+//! are not spec settings: compact `u16` column indices, SELL-σ row
+//! sorting, and the blocked-RHS width all follow from the matrix and the
+//! resolved kernel (see `regenr_sparse::kernel`), and every one of them is
+//! bitwise invisible in the results.
 //!
 //! Unknown top-level keys are rejected by name (a typo like `"kernal"`
 //! must be an error, not a silently ignored knob). Two keys exist for the
@@ -171,8 +165,6 @@ const KNOWN_SPEC_KEYS: &[&str] = &[
     "threads",
     "kernel",
     "backend",
-    "rhs_block",
-    "index_width",
     "cache",
     "horizons",
     "measures",
@@ -216,22 +208,6 @@ fn get_f64(obj: &Json, key: &str) -> Result<Option<f64>, String> {
             .as_f64()
             .map(Some)
             .ok_or_else(|| format!("field {key:?} must be a number")),
-    }
-}
-
-/// Reads a knob that accepts either a string token or a bare integer —
-/// `"rhs_block": 4` and `"rhs_block": "4"` both read naturally (the token
-/// still goes through the knob's own `parse`, which names the valid set).
-fn get_knob_token(obj: &Json, key: &str) -> Result<Option<String>, String> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(Json::Str(s)) => Ok(Some(s.clone())),
-        Some(Json::Num(x)) if x.fract() == 0.0 && *x >= 0.0 && *x <= u32::MAX as f64 => {
-            Ok(Some(format!("{}", *x as u64)))
-        }
-        Some(_) => Err(format!(
-            "field {key:?} must be a string token or a non-negative integer"
-        )),
     }
 }
 
@@ -998,12 +974,6 @@ impl SweepSpec {
                 .ok_or_else(|| "field \"backend\" must be a string".to_string())?;
             options.parallel.backend = regenr_sparse::BackendChoice::parse(s)?;
         }
-        if let Some(s) = get_knob_token(doc, "rhs_block")? {
-            options.parallel.rhs_block = regenr_sparse::RhsBlockChoice::parse(&s)?;
-        }
-        if let Some(s) = get_knob_token(doc, "index_width")? {
-            options.parallel.index_width = regenr_sparse::IndexWidthChoice::parse(&s)?;
-        }
         if let Some(x) = get_f64(doc, "theta")? {
             if !x.is_finite() || x < 0.0 {
                 return Err(format!(
@@ -1528,13 +1498,17 @@ mod tests {
 
     /// The `"kernel"` knob forces the SpMV kernel engine-wide; every forced
     /// kernel produces a `--stable` report byte-for-byte identical to
-    /// `Auto` (the CI determinism job diffs exactly this).
+    /// `Auto` (the CI determinism job diffs exactly this). RAID G = 20 at
+    /// t = 10 steps both measures as one blocked SR solve over a real
+    /// shortrow or sliced layout.
     #[test]
     fn forced_kernel_sweeps_match_auto_byte_for_byte() {
         let spec_for = |kernel: &str| {
             format!(
                 r#"{{"epsilon": 1e-10, "kernel": "{kernel}", "horizons": [1, 100, 10000],
+                    "measures": ["trr", "mrr"],
                     "models": [{{"kind": "raid", "g": 2}},
+                               {{"kind": "raid", "g": 20, "horizons": [10]}},
                                {{"kind": "two_state", "lambda": 1e-3, "absorbing": true}}]}}"#
             )
         };
@@ -1550,6 +1524,10 @@ mod tests {
                 report.failures.is_empty(),
                 "{kernel}: {:?}",
                 report.failures
+            );
+            assert!(
+                report.exec.blocked_cells >= 2,
+                "{kernel}: G = 20 must block"
             );
             stable_report_to_json(&report).to_string()
         };
@@ -1644,66 +1622,20 @@ mod tests {
         }
     }
 
-    /// The blocked-stepping knobs force the RHS block width and the
-    /// column-index width engine-wide; every combination produces a
-    /// `--stable` report byte-for-byte identical to `auto` (the CI
-    /// determinism job diffs exactly this). The grid includes a
-    /// two-measure model so shared-generator grouping actually engages
-    /// under `auto`.
-    #[test]
-    fn forced_rhs_block_and_index_width_sweeps_match_auto_byte_for_byte() {
-        let spec_for = |rhs: &str, width: &str| {
-            format!(
-                r#"{{"epsilon": 1e-10, "rhs_block": {rhs}, "index_width": {width},
-                    "horizons": [1, 100], "measures": ["trr", "mrr"],
-                    "models": [{{"kind": "raid", "g": 2}},
-                               {{"kind": "two_state", "lambda": 1e-3, "mu": 1.0}}]}}"#
-            )
-        };
-        let run = |rhs: &str, width: &str| {
-            let spec = SweepSpec::parse(&spec_for(rhs, width)).unwrap();
-            let engine = crate::Engine::with_cache_config(spec.options, spec.cache);
-            let report = engine.sweep(&spec.requests);
-            assert!(
-                report.failures.is_empty(),
-                "rhs_block {rhs} index_width {width}: {:?}",
-                report.failures
-            );
-            (
-                report.exec.blocked_cells,
-                stable_report_to_json(&report).to_string(),
-            )
-        };
-        let (auto_cells, auto) = run("\"auto\"", "\"auto\"");
-        assert!(auto_cells > 0, "two-measure grid must group under auto");
-        let (serial_cells, serial) = run("1", "\"32\"");
-        assert_eq!(serial_cells, 0, "rhs_block 1 must disable grouping");
-        assert_eq!(auto, serial, "blocked and serial reports must match");
-        // String and bare-integer spellings, every width, every block.
-        for (rhs, width) in [("2", "\"16\""), ("\"4\"", "\"32\""), ("8", "16")] {
-            let (_, out) = run(rhs, width);
-            assert_eq!(auto, out, "rhs_block {rhs} index_width {width}");
-        }
-    }
-
+    /// The retired blocked-stepping knobs are unknown keys now: any value,
+    /// `auto` included, fails by name and lists the keys a spec accepts.
     #[test]
     fn rejects_bad_rhs_block_and_index_width_knobs() {
-        for bad in ["\"3\"", "3", "\"wide\"", "true", "2.5", "-1"] {
-            let doc = format!(
-                r#"{{"rhs_block": {bad}, "horizons": [1],
-                    "models": [{{"kind": "cyclic", "n": 3}}]}}"#
-            );
-            assert!(SweepSpec::parse(&doc).is_err(), "rhs_block {bad} accepted");
-        }
-        for bad in ["\"48\"", "48", "64", "\"64\"", "\"both\"", "false", "16.5"] {
-            let doc = format!(
-                r#"{{"index_width": {bad}, "horizons": [1],
-                    "models": [{{"kind": "cyclic", "n": 3}}]}}"#
-            );
-            assert!(
-                SweepSpec::parse(&doc).is_err(),
-                "index_width {bad} accepted"
-            );
+        for key in ["rhs_block", "index_width"] {
+            for value in ["\"auto\"", "1", "\"16\""] {
+                let doc = format!(
+                    r#"{{"{key}": {value}, "horizons": [1],
+                        "models": [{{"kind": "cyclic", "n": 3}}]}}"#
+                );
+                let err = SweepSpec::parse(&doc).map(|_| ()).unwrap_err();
+                assert!(err.contains(&format!("{key:?}")), "{err}");
+                assert!(err.contains(&KNOWN_SPEC_KEYS.join(", ")), "{err}");
+            }
         }
     }
 

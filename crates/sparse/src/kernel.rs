@@ -22,6 +22,16 @@
 //!   average are excluded from slices (they would explode the padding) and
 //!   handled row-wise.
 //!
+//! ## Layout
+//!
+//! The layout a kernel builds is a function of the matrix alone, never a
+//! setting: shortrow and sliced store compact `u16` column indices whenever
+//! `ncols ≤ 65 535` (`u32` otherwise), and sliced sorts rows by length
+//! within [`SIGMA`]-row windows (SELL-σ) when the matrix has at least four
+//! full windows and sorting strictly shrinks the padding. How many
+//! right-hand sides one blocked pass moves is a function of the kernel
+//! ([`KernelKind::block_width`]).
+//!
 //! ## Backends
 //!
 //! The sliced kernel additionally comes in explicit-SIMD *backends* (x86_64
@@ -142,79 +152,29 @@ impl KernelKind {
             KernelKind::Sliced => "sliced",
         }
     }
+
+    /// How many right-hand sides one blocked pass over this kernel should
+    /// move when a caller has compatible computations to group (the
+    /// blocked-RHS ablation in `repro kernels` / `results/kernels.csv`):
+    /// shortrow's per-cell speedup keeps growing through `k = 8` (2.19× at
+    /// G=40, 2.83× at G=20 over `k = 1`, vs 1.99×/2.43× at `k = 4`) because
+    /// its bitwise in-order reduction is latency-bound and wider blocks hide
+    /// more of it; generic and sliced stay at the all-round `k = 4` — their
+    /// measured blocked rows plateau there and wider interleaving starts
+    /// thrashing the per-row accumulator registers. Speed only: every
+    /// blocked column is bitwise identical to the serial product.
+    pub fn block_width(self) -> usize {
+        match self {
+            KernelKind::ShortRow => MAX_RHS_BLOCK,
+            KernelKind::Generic | KernelKind::Sliced => 4,
+        }
+    }
 }
 
 impl std::fmt::Display for KernelKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// Column-index storage width for the layout-backed kernels (sliced and
-/// shortrow). Compact `u16` indices halve index traffic — the dominant
-/// non-value stream on the bandwidth-bound paper grids — and are widened
-/// transparently when the matrix has more columns than the type can
-/// address, so a forced narrow width is always safe.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum IndexWidthChoice {
-    /// Pick the narrowest width the matrix fits (the default).
-    #[default]
-    Auto,
-    /// Prefer `u16` indices; widened to `u32` above 65 535 columns.
-    W16,
-    /// Use `u32` indices (the CSR storage width): no compaction.
-    W32,
-}
-
-impl IndexWidthChoice {
-    /// Parses the CLI/spec spelling (`auto`, `16`, `32`).
-    pub fn parse(s: &str) -> Result<IndexWidthChoice, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "auto" => Ok(IndexWidthChoice::Auto),
-            "16" => Ok(IndexWidthChoice::W16),
-            "32" => Ok(IndexWidthChoice::W32),
-            other => Err(format!(
-                "unknown index width {other:?} (expected auto/16/32)"
-            )),
-        }
-    }
-
-    /// Stable spelling for reports and CSVs.
-    pub fn name(self) -> &'static str {
-        match self {
-            IndexWidthChoice::Auto => "auto",
-            IndexWidthChoice::W16 => "16",
-            IndexWidthChoice::W32 => "32",
-        }
-    }
-
-    /// Whether a compact `u16` layout should be used for a matrix with
-    /// `ncols` columns under this choice.
-    fn wants_u16(self, ncols: usize) -> bool {
-        let fits = ncols <= u16::MAX as usize;
-        match self {
-            IndexWidthChoice::Auto | IndexWidthChoice::W16 => fits,
-            IndexWidthChoice::W32 => false,
-        }
-    }
-}
-
-/// SELL-σ row-sorting policy for the sliced layout. Sorting rows by length
-/// within σ-windows packs similar-length rows into the same slice, cutting
-/// ragged-span padding; results are scattered back through the stored
-/// permutation so they stay bitwise identical to serial. Not a spec knob —
-/// `Auto` is structure-driven and deterministic; the forced variants exist
-/// for tests and ablations.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum SellSort {
-    /// Sort iff the matrix has enough full windows and sorting strictly
-    /// reduces padded cells (the default).
-    #[default]
-    Auto,
-    /// Always sort (given at least one full window).
-    Always,
-    /// Never sort — the PR-5 layout, byte for byte.
-    Never,
 }
 
 /// One-pass structural summary of a matrix, the input to kernel selection.
@@ -398,7 +358,7 @@ struct SlicedData {
 }
 
 impl SlicedData {
-    fn build(m: &CsrMatrix, compact: bool, sort: SellSort) -> SlicedData {
+    fn build(m: &CsrMatrix, compact: bool) -> SlicedData {
         let n = m.nrows();
         let rp = m.row_ptr();
         let mvals = m.values();
@@ -407,11 +367,11 @@ impl SlicedData {
         let windows = n / SIGMA;
         let row_len = |i: usize| rp[i + 1] - rp[i];
         // SELL-σ decision. The padding estimate mirrors the layout (tail
-        // rows excluded from widths); `Auto` sorts only when the matrix has
-        // enough full windows for the forfeited window-boundary slices not
-        // to matter and sorting strictly shrinks the padded layout — a
+        // rows excluded from widths); rows are sorted only when the matrix
+        // has enough full windows for the forfeited window-boundary slices
+        // not to matter and sorting strictly shrinks the padded layout — a
         // deterministic function of the structure alone.
-        let perm: Option<Vec<u32>> = if sort != SellSort::Never && windows > 0 {
+        let perm: Option<Vec<u32>> = if windows >= 4 {
             let mut order: Vec<u32> = (0..(windows * SIGMA) as u32).collect();
             for w in 0..windows {
                 order[w * SIGMA..(w + 1) * SIGMA].sort_by_key(|&r| (row_len(r as usize), r));
@@ -430,11 +390,7 @@ impl SlicedData {
                 }
                 cells
             };
-            let keep = match sort {
-                SellSort::Always => true,
-                _ => windows >= 4 && padded(&|p| order[p] as usize) < padded(&|p| p),
-            };
-            keep.then_some(order)
+            (padded(&|p| order[p] as usize) < padded(&|p| p)).then_some(order)
         } else {
             None
         };
@@ -1505,8 +1461,9 @@ unsafe fn block_rowwise_mat(
 enum KernelData {
     Plain,
     /// Compact `u16` copy of the matrix's column indices (shortrow kernel
-    /// with a narrow index width). Embeds structure, so plans holding it
-    /// record a content signature like the value-embedding layouts.
+    /// on a matrix narrow enough to address). Embeds structure, so plans
+    /// holding it record a content signature like the value-embedding
+    /// layouts.
     ShortIdx(Vec<u16>),
     Sliced(SlicedData),
 }
@@ -1535,30 +1492,17 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// [`Kernel::build_with`] under the default (`Auto`) index-width and
-    /// SELL-σ policies.
-    #[cfg(test)]
-    pub(crate) fn build(m: &CsrMatrix, choice: KernelChoice, backend: BackendChoice) -> Kernel {
-        Kernel::build_with(m, choice, backend, IndexWidthChoice::Auto, SellSort::Auto)
-    }
-
     /// Resolves `choice` for `m` (analyzing the matrix for `Auto`) and
     /// builds the kernel's layout; `backend` is clamped to the hardware
-    /// (see [`crate::simd::resolve`]). `width` selects the column-index
-    /// storage width for the layout-backed kernels (widened transparently
-    /// when the matrix does not fit) and `sort` the SELL-σ row-sorting
-    /// policy for the sliced layout. Unchecked kernels validate the CSR
-    /// column invariant once here. Crate-internal: the only safe way to
-    /// use a kernel is through a [`ChunkPlan`](crate::ChunkPlan), whose
-    /// content-signature check rejects a same-sparsity different-values
-    /// matrix (this type's own guard checks shape/nnz only).
-    pub(crate) fn build_with(
-        m: &CsrMatrix,
-        choice: KernelChoice,
-        backend: BackendChoice,
-        width: IndexWidthChoice,
-        sort: SellSort,
-    ) -> Kernel {
+    /// (see [`crate::simd::resolve`]). The layout itself is a function of
+    /// the matrix: compact `u16` column indices whenever `ncols` fits the
+    /// type, and SELL-σ row sorting whenever it shrinks the sliced padding.
+    /// Unchecked kernels validate the CSR column invariant once here.
+    /// Crate-internal: the only safe way to use a kernel is through a
+    /// [`ChunkPlan`](crate::ChunkPlan), whose content-signature check
+    /// rejects a same-sparsity different-values matrix (this type's own
+    /// guard checks shape/nnz only).
+    pub(crate) fn build(m: &CsrMatrix, choice: KernelChoice, backend: BackendChoice) -> Kernel {
         let kind = match choice.forced() {
             Some(kind) => kind,
             None => MatrixProfile::analyze(m).select(),
@@ -1571,14 +1515,14 @@ impl Kernel {
         } else {
             kind
         };
-        let compact = width.wants_u16(m.ncols());
+        let compact = m.ncols() <= u16::MAX as usize;
         let data = match kind {
             KernelKind::Generic => KernelData::Plain,
             KernelKind::ShortRow if compact => {
                 KernelData::ShortIdx(m.col_idx().iter().map(|&c| c as u16).collect())
             }
             KernelKind::ShortRow => KernelData::Plain,
-            KernelKind::Sliced => KernelData::Sliced(SlicedData::build(m, compact, sort)),
+            KernelKind::Sliced => KernelData::Sliced(SlicedData::build(m, compact)),
         };
         let backend = match kind {
             KernelKind::Sliced => simd::resolve(backend),
@@ -2028,13 +1972,14 @@ mod tests {
         }
     }
 
-    /// SELL-σ sorted and compact-index layouts must stay bitwise identical
-    /// to serial for both single-vector and blocked products, across
-    /// backends, chunk boundaries that slice through σ-windows, and
-    /// adversarial rows (empty, overlong, non-finite inputs).
-    #[test]
-    fn sorted_and_compact_layouts_stay_bitwise_identical() {
-        let n = 2 * SIGMA + 13; // ragged beyond the last full window
+    /// Matrix families that reach each layout branch by structure alone,
+    /// as `(name, matrix, sorted, index width)`: ragged rows over ≥ 4
+    /// σ-windows (sorting shrinks the padding), uniform rows (it cannot),
+    /// and a thin matrix wider than `u16` can address. Each carries empty
+    /// and overlong rows or a row count off the lane grid, so the tail
+    /// paths run too.
+    fn layout_families() -> Vec<(&'static str, CsrMatrix, bool, u8)> {
+        let n = 4 * SIGMA + 13; // ragged beyond the last full window
         let mut b = CooBuilder::new(n, n);
         for i in 0..n {
             match i % 9 {
@@ -2052,126 +1997,122 @@ mod tests {
                 }
             }
         }
-        let a = b.build();
-        let mut x: Vec<f64> = (0..n).map(|j| ((j * 29 + 7) % 13) as f64 - 6.0).collect();
-        x[0] = f64::NEG_INFINITY;
-        x[1] = f64::NAN;
-        let mut want = vec![0.0; n];
-        a.mul_vec_into(&x, &mut want);
+        let ragged = b.build();
+        let mut b = CooBuilder::new(n, n);
+        for i in 0..n {
+            b.push(i, i, 2.0);
+            b.push(i, (i + 7) % n, -0.5);
+            b.push(i, (i + 13) % n, -0.25 - i as f64 * 1e-3);
+        }
+        let uniform = b.build();
+        let (rows, cols) = (SIGMA + 19, u16::MAX as usize + 10);
+        let mut b = CooBuilder::new(rows, cols);
+        for i in 0..rows {
+            b.push(i, i, 1.0);
+            for d in 0..i % 4 {
+                b.push(i, cols - 1 - i * 5 - d, 2.0 + d as f64);
+            }
+        }
+        let wide = b.build();
+        vec![
+            ("ragged", ragged, true, 16),
+            ("uniform", uniform, false, 16),
+            ("wide", wide, false, 32),
+        ]
+    }
+
+    /// SELL-σ sorted and compact-index layouts must stay bitwise identical
+    /// to serial for both single-vector and blocked products, across
+    /// backends, chunk boundaries that slice through σ-windows, and
+    /// adversarial rows (empty, overlong, non-finite inputs). The matrix
+    /// families prove each layout branch is actually taken.
+    #[test]
+    fn sorted_and_compact_layouts_stay_bitwise_identical() {
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        let widths = [
-            IndexWidthChoice::Auto,
-            IndexWidthChoice::W16,
-            IndexWidthChoice::W32,
-        ];
-        for sort in [SellSort::Always, SellSort::Never, SellSort::Auto] {
-            for width in widths {
-                for backend in ALL_BACKENDS {
-                    let kernel = Kernel::build_with(&a, KernelChoice::Sliced, backend, width, sort);
-                    if sort == SellSort::Always {
-                        assert!(kernel.sorted(), "σ-sorting was requested");
-                    }
-                    let mut got = vec![0.0; n];
-                    kernel.mul_rows(&a, &x, &mut got, 0..n);
-                    assert_eq!(bits(&want), bits(&got), "{sort:?}/{width:?}/{backend:?}");
-                    // Chunk boundaries through a σ-window.
-                    let mut got = vec![0.0; n];
-                    for (lo, hi) in [(0usize, 5usize), (5, SIGMA + 9), (SIGMA + 9, n)] {
-                        kernel.mul_rows(&a, &x, &mut got[lo..hi], lo..hi);
-                    }
-                    assert_eq!(
-                        bits(&want),
-                        bits(&got),
-                        "{sort:?}/{width:?}/{backend:?} chunked"
-                    );
-                    // Blocked, k=4, chunked through the window too.
-                    let k = 4;
-                    let xk: Vec<f64> = (0..n * k).map(|i| x[i / k]).collect();
-                    let mut got = vec![0.0; n * k];
-                    for (lo, hi) in [(0usize, SIGMA - 3), (SIGMA - 3, n)] {
-                        kernel.mul_rows_block(&a, &xk, &mut got[lo * k..hi * k], lo..hi, k);
-                    }
-                    for r in 0..n {
-                        for j in 0..k {
-                            assert_eq!(
-                                got[r * k + j].to_bits(),
-                                want[r].to_bits(),
-                                "{sort:?}/{width:?}/{backend:?} blocked row {r}"
-                            );
-                        }
+        for (name, a, sorted, width) in layout_families() {
+            let (n, m) = (a.nrows(), a.ncols());
+            let mut x: Vec<f64> = (0..m).map(|j| ((j * 29 + 7) % 13) as f64 - 6.0).collect();
+            x[0] = f64::NEG_INFINITY;
+            x[1] = f64::NAN;
+            let mut want = vec![0.0; n];
+            a.mul_vec_into(&x, &mut want);
+            for backend in ALL_BACKENDS {
+                let kernel = Kernel::build(&a, KernelChoice::Sliced, backend);
+                assert_eq!(kernel.sorted(), sorted, "{name}");
+                assert_eq!(kernel.index_width(), width, "{name}");
+                let mut got = vec![0.0; n];
+                kernel.mul_rows(&a, &x, &mut got, 0..n);
+                assert_eq!(bits(&want), bits(&got), "{name}/{backend:?}");
+                // Chunk boundaries through a σ-window.
+                let mut got = vec![0.0; n];
+                for (lo, hi) in [(0usize, 5usize), (5, SIGMA + 9), (SIGMA + 9, n)] {
+                    kernel.mul_rows(&a, &x, &mut got[lo..hi], lo..hi);
+                }
+                assert_eq!(bits(&want), bits(&got), "{name}/{backend:?} chunked");
+                // Blocked, k=4, chunked through the window too.
+                let k = 4;
+                let xk: Vec<f64> = (0..m * k).map(|i| x[i / k]).collect();
+                let mut got = vec![0.0; n * k];
+                for (lo, hi) in [(0usize, SIGMA - 3), (SIGMA - 3, n)] {
+                    kernel.mul_rows_block(&a, &xk, &mut got[lo * k..hi * k], lo..hi, k);
+                }
+                for r in 0..n {
+                    for j in 0..k {
+                        assert_eq!(
+                            got[r * k + j].to_bits(),
+                            want[r].to_bits(),
+                            "{name}/{backend:?} blocked row {r}"
+                        );
                     }
                 }
             }
         }
     }
 
-    /// Index-width resolution: `u16` only when the matrix fits, widened
-    /// transparently otherwise; shortrow gains a compact index copy under
-    /// narrow widths and stays layout-free under wide ones.
+    /// Index-width resolution: `u16` exactly when the matrix's columns fit,
+    /// `u32` otherwise; shortrow gains a compact index copy on narrow
+    /// matrices and stays layout-free on wide ones.
     #[test]
     fn index_widths_resolve_and_widen_transparently() {
         let narrow = dense_to_csr(&pseudo_random(48, 48, 11, 0.4));
-        let k16 = Kernel::build_with(
-            &narrow,
-            KernelChoice::Sliced,
-            BackendChoice::Auto,
-            IndexWidthChoice::W16,
-            SellSort::Never,
-        );
-        assert_eq!(k16.index_width(), 16);
-        let k32 = Kernel::build_with(
-            &narrow,
-            KernelChoice::Sliced,
-            BackendChoice::Auto,
-            IndexWidthChoice::W32,
-            SellSort::Never,
-        );
-        assert_eq!(k32.index_width(), 32);
-        // A matrix wider than u16 can address: forced 16 widens to 32.
-        let wide_cols = u16::MAX as usize + 10;
-        let mut b = CooBuilder::new(2 * LANES, wide_cols);
-        for i in 0..2 * LANES {
-            b.push(i, i, 1.0);
-            b.push(i, wide_cols - 1 - i, 2.0);
-        }
-        let wide = b.build();
-        let kw = Kernel::build_with(
-            &wide,
-            KernelChoice::Sliced,
-            BackendChoice::Auto,
-            IndexWidthChoice::W16,
-            SellSort::Never,
-        );
+        let wide = layout_families().pop().unwrap().1;
+        assert!(wide.ncols() > u16::MAX as usize);
+        let sliced = |m: &CsrMatrix| Kernel::build(m, KernelChoice::Sliced, BackendChoice::Auto);
+        assert_eq!(sliced(&narrow).index_width(), 16);
+        let kw = sliced(&wide);
         assert_eq!(kw.index_width(), 32, "u16 cannot address the columns");
-        let x = vec![1.0; wide_cols];
-        let mut want = vec![0.0; 2 * LANES];
+        let x = vec![1.0; wide.ncols()];
+        let mut want = vec![0.0; wide.nrows()];
         wide.mul_vec_into(&x, &mut want);
-        let mut got = vec![0.0; 2 * LANES];
-        kw.mul_rows(&wide, &x, &mut got, 0..2 * LANES);
+        let mut got = vec![0.0; wide.nrows()];
+        kw.mul_rows(&wide, &x, &mut got, 0..wide.nrows());
         assert_eq!(want, got);
-        // Shortrow: compact copy under narrow widths only.
-        let sr16 = Kernel::build_with(
-            &narrow,
-            KernelChoice::ShortRow,
-            BackendChoice::Scalar,
-            IndexWidthChoice::W16,
-            SellSort::Never,
-        );
+        // Shortrow: compact copy on narrow matrices only.
+        let sr16 = Kernel::build(&narrow, KernelChoice::ShortRow, BackendChoice::Scalar);
         assert_eq!(sr16.index_width(), 16);
         assert!(sr16.embeds_values(), "compact copy must trigger sig checks");
-        let sr32 = Kernel::build_with(
-            &narrow,
-            KernelChoice::ShortRow,
-            BackendChoice::Scalar,
-            IndexWidthChoice::W32,
-            SellSort::Never,
-        );
+        let sr32 = Kernel::build(&wide, KernelChoice::ShortRow, BackendChoice::Scalar);
         assert_eq!(sr32.index_width(), 32);
         assert!(!sr32.embeds_values());
-        assert!(IndexWidthChoice::parse("16").is_ok());
-        assert!(IndexWidthChoice::parse("48").is_err());
-        let err = IndexWidthChoice::parse("64").unwrap_err();
-        assert!(err.contains("auto/16/32"), "{err}");
+    }
+
+    /// The blocked-RHS width table: one width per resolved kernel, never
+    /// above the blocked entry points' limit.
+    #[test]
+    fn block_width_is_per_kernel() {
+        assert_eq!(KernelKind::ShortRow.block_width(), 8);
+        assert_eq!(KernelKind::Generic.block_width(), 4);
+        assert_eq!(KernelKind::Sliced.block_width(), 4);
+        for kind in [
+            KernelKind::Generic,
+            KernelKind::ShortRow,
+            KernelKind::Sliced,
+        ] {
+            assert!(
+                (1..=MAX_RHS_BLOCK).contains(&kind.block_width()),
+                "{kind:?}"
+            );
+        }
     }
 
     /// Backend resolution policy: generic and shortrow always run scalar,

@@ -29,10 +29,8 @@ pub mod workspace;
 
 pub use builder::CooBuilder;
 pub use csr::CsrMatrix;
-pub use kernel::{
-    IndexWidthChoice, KernelChoice, KernelKind, MatrixProfile, SellSort, MAX_RHS_BLOCK,
-};
-pub use parallel::{effective_threads, ChunkPlan, ParallelConfig, RhsBlockChoice};
+pub use kernel::{KernelChoice, KernelKind, MatrixProfile, MAX_RHS_BLOCK};
+pub use parallel::{effective_threads, ChunkPlan, ParallelConfig};
 pub use pool::{WorkerPool, WorkerPoolStats};
 pub use simd::{Backend, BackendChoice};
 pub use workspace::{Workspace, WorkspaceStats};

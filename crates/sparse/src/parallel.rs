@@ -15,7 +15,8 @@
 //! see [`crate::simd`]) — that every chunk then executes. Steppers compute
 //! the plan **once per matrix** and reuse it across millions of products
 //! (`Uniformized::stepper` in `regenr-ctmc` caches plans per
-//! `(chunk count, kernel choice, backend choice)`).
+//! `(chunk count, kernel choice, backend choice)`, one plan for every
+//! blocked-RHS width).
 //!
 //! There is one execution strategy: [`CsrMatrix::mul_vec_pooled_into`] (and
 //! its blocked sibling [`CsrMatrix::mul_mat_pooled_into`]) runs the chunks
@@ -26,108 +27,14 @@
 //! under [`ParallelConfig::min_nnz`] (a pool wake ≫ product cost there).
 
 use crate::csr::CsrMatrix;
-use crate::kernel::{IndexWidthChoice, Kernel, KernelChoice, KernelKind, SellSort, MAX_RHS_BLOCK};
+use crate::kernel::{Kernel, KernelChoice, KernelKind, MAX_RHS_BLOCK};
 use crate::pool::WorkerPool;
 use crate::simd::{Backend, BackendChoice};
 
-/// How many right-hand sides one streaming pass of the matrix should move
-/// (blocked SpMM). The matrix is the bandwidth bottleneck: stepping `k`
-/// vectors per pass amortizes the stream over `k` results, so per-vector
-/// cost drops nearly `k`-fold once the kernels are memory-bound. Affects
-/// speed only — each of the `k` columns is accumulated exactly as the
-/// serial single-vector product would, so every column stays bitwise
-/// identical to [`CsrMatrix::mul_vec_into`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum RhsBlockChoice {
-    /// Let the caller's grouping logic pick a width **per resolved kernel**
-    /// (see [`RhsBlockChoice::auto_width`]) whenever at least two
-    /// compatible computations can share a pass, else serial.
-    #[default]
-    Auto,
-    /// A fixed block width (1, 2, 4, or 8); `1` disables blocking.
-    Fixed(usize),
-}
-
-impl RhsBlockChoice {
-    /// Parses `"auto" | "1" | "2" | "4" | "8"`.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "auto" => Ok(Self::Auto),
-            "1" => Ok(Self::Fixed(1)),
-            "2" => Ok(Self::Fixed(2)),
-            "4" => Ok(Self::Fixed(4)),
-            "8" => Ok(Self::Fixed(8)),
-            other => Err(format!(
-                "unknown rhs_block {other:?} (expected auto, 1, 2, 4, or 8)"
-            )),
-        }
-    }
-
-    /// The canonical spelling [`RhsBlockChoice::parse`] accepts.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Auto => "auto",
-            Self::Fixed(1) => "1",
-            Self::Fixed(2) => "2",
-            Self::Fixed(4) => "4",
-            Self::Fixed(8) => "8",
-            Self::Fixed(_) => "fixed",
-        }
-    }
-
-    /// The measured `Auto` block width for each resolved kernel (the
-    /// blocked-RHS ablation in `repro kernels` / `results/kernels.csv`):
-    /// shortrow's per-cell speedup keeps growing through `k = 8` (2.19× at
-    /// G=40, 2.83× at G=20 over `k = 1`, vs 1.99×/2.43× at `k = 4`) because
-    /// its bitwise in-order reduction is latency-bound and wider blocks hide
-    /// more of it; generic and sliced stay at the all-round
-    /// `k = 4` — their measured blocked rows plateau there and wider
-    /// interleaving starts thrashing the per-row accumulator registers.
-    pub fn auto_width(kind: KernelKind) -> usize {
-        match kind {
-            KernelKind::ShortRow => MAX_RHS_BLOCK,
-            KernelKind::Generic | KernelKind::Sliced => 4,
-        }
-    }
-
-    /// The width the caller's *grouping* stage should chunk compatible
-    /// computations to, before the kernel is resolved: `Auto` groups up to
-    /// [`MAX_RHS_BLOCK`] (execution narrows to
-    /// [`RhsBlockChoice::resolve_for`]'s per-kernel width once the kernel
-    /// is known), fixed widths are clamped to `[1, MAX_RHS_BLOCK]`.
-    pub fn plan_width(self, group: usize) -> usize {
-        match self {
-            Self::Auto => {
-                if group >= 2 {
-                    MAX_RHS_BLOCK
-                } else {
-                    1
-                }
-            }
-            Self::Fixed(k) => k.clamp(1, MAX_RHS_BLOCK),
-        }
-    }
-
-    /// Resolves the *execution* block width for a group of `group`
-    /// compatible computations running on kernel `kind`: `Auto` uses the
-    /// per-kernel [`RhsBlockChoice::auto_width`] table when there is
-    /// anything to group, fixed widths are clamped to
-    /// `[1, MAX_RHS_BLOCK]`.
-    pub fn resolve_for(self, kind: KernelKind, group: usize) -> usize {
-        match self {
-            Self::Auto => {
-                if group >= 2 {
-                    Self::auto_width(kind)
-                } else {
-                    1
-                }
-            }
-            Self::Fixed(k) => k.clamp(1, MAX_RHS_BLOCK),
-        }
-    }
-}
-
-/// Tuning for the parallel SpMV kernels.
+/// Tuning for the parallel SpMV kernels. The layout a plan builds (index
+/// width, SELL-σ sorting) and the blocked-RHS width are not tuning: they
+/// follow from the matrix and the resolved kernel (see [`crate::kernel`]
+/// and [`KernelKind::block_width`]).
 #[derive(Clone, Copy, Debug)]
 pub struct ParallelConfig {
     /// Below this nnz the serial kernel is used (dispatch overhead ≫ product
@@ -145,19 +52,6 @@ pub struct ParallelConfig {
     /// the product it serves. Every kernel is bitwise identical to the
     /// serial product, so this knob affects speed only.
     pub kernel: KernelChoice,
-    /// Blocked-RHS stepping width for callers that can batch compatible
-    /// computations over one matrix (see [`RhsBlockChoice`]). Speed only:
-    /// every blocked column is bitwise identical to the serial product.
-    pub rhs_block: RhsBlockChoice,
-    /// Column-index storage width for the layout-backed kernels (see
-    /// [`IndexWidthChoice`]): `u16` halves index traffic on matrices
-    /// narrow enough to address, and is widened transparently otherwise.
-    pub index_width: IndexWidthChoice,
-    /// SELL-σ row sorting for the sliced layout (see [`SellSort`]):
-    /// whether rows are length-sorted within σ-windows before slicing.
-    /// Results are scattered back through the permutation, so sorting is
-    /// invisible in every output bit.
-    pub sell_sort: SellSort,
     /// Which execution backend the resolved kernel runs
     /// ([`BackendChoice::Auto`] probes the CPU once per process and takes
     /// the widest supported; forced values are clamped to the hardware —
@@ -176,9 +70,6 @@ impl Default for ParallelConfig {
             min_nnz: 50_000,
             threads: 0,
             kernel: KernelChoice::Auto,
-            rhs_block: RhsBlockChoice::Auto,
-            index_width: IndexWidthChoice::Auto,
-            sell_sort: SellSort::Auto,
             backend: BackendChoice::Auto,
         }
     }
@@ -233,36 +124,16 @@ impl ChunkPlan {
 
     /// Like [`ChunkPlan::with_kernel`] with an explicit execution backend
     /// (clamped to what the CPU supports — see [`crate::simd::resolve`]).
+    /// The layout is a function of the matrix alone: compact `u16` column
+    /// indices when the matrix is narrow enough, SELL-σ row sorting when it
+    /// shrinks the sliced padding (see [`crate::kernel`]).
     pub fn with_kernel_backend(
         matrix: &CsrMatrix,
         chunks: usize,
         choice: KernelChoice,
         backend: BackendChoice,
     ) -> ChunkPlan {
-        Self::with_options(
-            matrix,
-            chunks,
-            choice,
-            backend,
-            IndexWidthChoice::Auto,
-            SellSort::Auto,
-        )
-    }
-
-    /// Like [`ChunkPlan::with_kernel_backend`] with explicit layout options:
-    /// a column-index storage width (widened transparently when the matrix
-    /// is too wide for the request) and the SELL-σ row-sorting policy for
-    /// the sliced layout. Layout options affect speed and plan bytes only —
-    /// never an output bit.
-    pub fn with_options(
-        matrix: &CsrMatrix,
-        chunks: usize,
-        choice: KernelChoice,
-        backend: BackendChoice,
-        width: IndexWidthChoice,
-        sort: SellSort,
-    ) -> ChunkPlan {
-        let kernel = Kernel::build_with(matrix, choice, backend, width, sort);
+        let kernel = Kernel::build(matrix, choice, backend);
         let sig = kernel.embeds_values().then(|| matrix.content_sig());
         ChunkPlan {
             ranges: matrix.balanced_row_chunks(chunks),
@@ -521,6 +392,19 @@ mod tests {
         b.build()
     }
 
+    /// Rows of 1–7 entries cycling: every 8-row slice pads to the longest,
+    /// so from 4 σ-windows (256 rows) up the sliced layout is σ-sorted.
+    fn ragged_matrix(n: usize) -> CsrMatrix {
+        let mut b = CooBuilder::new(n, n);
+        for i in 0..n {
+            b.push(i, i, 2.0 + i as f64 * 1e-3);
+            for d in 1..=i % 7 {
+                b.push(i, (i + d * 3) % n, -0.5 / d as f64);
+            }
+        }
+        b.build()
+    }
+
     #[test]
     fn parallel_equals_serial_various_thread_counts() {
         let n = 997;
@@ -570,87 +454,43 @@ mod tests {
     }
 
     /// Pooled blocked products: every column bitwise identical to serial,
-    /// across kernels, layout options, pool sizes, chunk counts, and block
-    /// widths.
+    /// across kernels, sorted and unsorted layouts, pool sizes, chunk
+    /// counts, and block widths.
     #[test]
     fn pooled_blocked_product_is_bitwise_serial_per_column() {
-        let n = 337;
-        let m = band_matrix(n);
-        let mut want = vec![0.0; n];
-        let x: Vec<f64> = (0..n).map(|i| ((i * 13) % 29) as f64 - 14.0).collect();
-        m.mul_vec_into(&x, &mut want);
         let pool = WorkerPool::new(3);
-        for k in [1usize, 2, 4, 8] {
-            let xk: Vec<f64> = (0..n * k).map(|i| x[i / k]).collect();
-            for chunks in [1, 2, 7] {
-                for (choice, width, sort) in [
-                    (KernelChoice::Auto, IndexWidthChoice::Auto, SellSort::Auto),
-                    (
+        for (m, sorted) in [(band_matrix(337), false), (ragged_matrix(337), true)] {
+            let n = m.nrows();
+            let mut want = vec![0.0; n];
+            let x: Vec<f64> = (0..n).map(|i| ((i * 13) % 29) as f64 - 14.0).collect();
+            m.mul_vec_into(&x, &mut want);
+            for k in [1usize, 2, 4, 8] {
+                let xk: Vec<f64> = (0..n * k).map(|i| x[i / k]).collect();
+                for chunks in [1, 2, 7] {
+                    for choice in [
+                        KernelChoice::Auto,
                         KernelChoice::Sliced,
-                        IndexWidthChoice::W16,
-                        SellSort::Always,
-                    ),
-                    (KernelChoice::Sliced, IndexWidthChoice::W32, SellSort::Never),
-                    (
                         KernelChoice::ShortRow,
-                        IndexWidthChoice::W16,
-                        SellSort::Auto,
-                    ),
-                ] {
-                    let plan = ChunkPlan::with_options(
-                        &m,
-                        chunks,
-                        choice,
-                        BackendChoice::Auto,
-                        width,
-                        sort,
-                    );
-                    let mut got = vec![0.0; n * k];
-                    m.mul_mat_pooled_into(&xk, &mut got, &plan, &pool, k);
-                    for r in 0..n {
-                        for j in 0..k {
-                            assert_eq!(
-                                got[r * k + j].to_bits(),
-                                want[r].to_bits(),
-                                "k={k} chunks={chunks} {choice:?}/{width:?}/{sort:?} row {r}"
-                            );
+                    ] {
+                        let plan = ChunkPlan::with_kernel(&m, chunks, choice);
+                        if choice == KernelChoice::Sliced {
+                            assert_eq!(plan.sorted(), sorted);
+                        }
+                        let mut got = vec![0.0; n * k];
+                        m.mul_mat_pooled_into(&xk, &mut got, &plan, &pool, k);
+                        for r in 0..n {
+                            for j in 0..k {
+                                assert_eq!(
+                                    got[r * k + j].to_bits(),
+                                    want[r].to_bits(),
+                                    "k={k} chunks={chunks} {choice:?} sorted={sorted} row {r}"
+                                );
+                            }
                         }
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn rhs_block_choice_parses_and_resolves() {
-        assert_eq!(RhsBlockChoice::parse("auto"), Ok(RhsBlockChoice::Auto));
-        assert_eq!(RhsBlockChoice::parse("4"), Ok(RhsBlockChoice::Fixed(4)));
-        assert!(RhsBlockChoice::parse("3").is_err());
-        assert!(RhsBlockChoice::parse("16").is_err());
-        // Grouping width: Auto chunks to the table maximum (execution
-        // narrows per kernel), singleton groups never block.
-        assert_eq!(RhsBlockChoice::Auto.plan_width(1), 1);
-        assert_eq!(RhsBlockChoice::Auto.plan_width(2), MAX_RHS_BLOCK);
-        assert_eq!(RhsBlockChoice::Fixed(1).plan_width(100), 1);
-        assert_eq!(RhsBlockChoice::Fixed(8).plan_width(2), 8);
-        // Execution width: per-kernel under Auto, clamped fixed otherwise.
-        for kind in [
-            KernelKind::Generic,
-            KernelKind::ShortRow,
-            KernelKind::Sliced,
-        ] {
-            assert_eq!(RhsBlockChoice::Auto.resolve_for(kind, 1), 1, "{kind:?}");
-            assert_eq!(
-                RhsBlockChoice::Auto.resolve_for(kind, 2),
-                RhsBlockChoice::auto_width(kind),
-                "{kind:?}"
-            );
-            assert_eq!(RhsBlockChoice::Fixed(8).resolve_for(kind, 2), 8);
-        }
-        assert_eq!(RhsBlockChoice::auto_width(KernelKind::ShortRow), 8);
-        assert_eq!(RhsBlockChoice::auto_width(KernelKind::Generic), 4);
-        assert_eq!(RhsBlockChoice::auto_width(KernelKind::Sliced), 4);
-        assert_eq!(RhsBlockChoice::Fixed(4).name(), "4");
     }
 
     /// Rebinding a plan to a same-structure different-values matrix must
@@ -660,7 +500,7 @@ mod tests {
     #[test]
     fn plan_rebind_matches_fresh_build_for_every_kernel() {
         let n = 256;
-        let a = band_matrix(n);
+        let a = ragged_matrix(n);
         let mut bld = CooBuilder::new(n, n);
         for (i, j, v) in a.iter() {
             bld.push(i, j, v * 1.75 + 0.125); // same pattern, new values
@@ -676,14 +516,10 @@ mod tests {
             KernelChoice::ShortRow,
             KernelChoice::Sliced,
         ] {
-            let donor_plan = ChunkPlan::with_options(
-                &a,
-                3,
-                choice,
-                BackendChoice::Auto,
-                IndexWidthChoice::Auto,
-                SellSort::Always,
-            );
+            let donor_plan = ChunkPlan::with_kernel(&a, 3, choice);
+            if choice == KernelChoice::Sliced {
+                assert!(donor_plan.sorted(), "the σ-sorted layout must rebind too");
+            }
             let rebound = donor_plan.rebind(&a, &b);
             assert_eq!(rebound.kernel_kind(), donor_plan.kernel_kind());
             assert_eq!(rebound.backend(), donor_plan.backend());

@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use regenr_sparse::{
-    BackendChoice, ChunkPlan, CooBuilder, CsrMatrix, IndexWidthChoice, KernelChoice,
-    ParallelConfig, SellSort, WorkerPool, MAX_RHS_BLOCK,
+    BackendChoice, ChunkPlan, CooBuilder, CsrMatrix, KernelChoice, ParallelConfig, WorkerPool,
+    MAX_RHS_BLOCK,
 };
 
 /// Random dense matrix plus its CSR image.
@@ -36,6 +36,55 @@ fn to_csr(rows: &[Vec<f64>], n: usize, m: usize) -> CsrMatrix {
         }
     }
     b.build()
+}
+
+/// A matrix from one of three families that reach each layout branch by
+/// structure alone, with its expected `(sorted, index width)`:
+///
+/// * `0` — ragged rows (`1 + (i + shift) % 7` entries) over ≥ 4 σ-windows:
+///   every unsorted 8-row slice pads to 7, so σ-sorting strictly shrinks
+///   the padding and the layout is sorted;
+/// * `1` — uniform rows (`1 + shift % 4` entries): sorting cannot shrink
+///   anything, so the layout stays unsorted;
+/// * `2` — a thin matrix with more than 65 535 columns: `u32` indices.
+///
+/// Values are drawn from `seed`; `extra` varies the row count.
+fn layout_family(family: usize, seed: u64, extra: usize) -> (CsrMatrix, bool, u8) {
+    let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+    let mut value = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        0.25 + (state >> 40) as f64 / (1u64 << 24) as f64
+    };
+    let shift = (seed % 7) as usize;
+    match family {
+        0 | 1 => {
+            let n = 256 + extra;
+            let mut b = CooBuilder::new(n, n);
+            for i in 0..n {
+                let len = if family == 0 {
+                    1 + (i + shift) % 7
+                } else {
+                    1 + shift % 4
+                };
+                for d in 0..len {
+                    b.push(i, (i + d * 3) % n, value());
+                }
+            }
+            (b.build(), family == 0, 16)
+        }
+        _ => {
+            let (rows, cols) = (1 + extra, u16::MAX as usize + 1 + extra);
+            let mut b = CooBuilder::new(rows, cols);
+            for i in 0..rows {
+                for d in 0..(i + shift) % 4 {
+                    b.push(i, cols - 1 - i * 5 - d, value());
+                }
+            }
+            (b.build(), false, 32)
+        }
+    }
 }
 
 proptest! {
@@ -310,17 +359,21 @@ proptest! {
     }
 
     /// SELL-σ row sorting and compact column indices are pure layout
-    /// changes: forcing any index width × sort policy produces bitwise
-    /// identical products to the serial kernel, for both the 1-vector and
-    /// blocked entry points.
+    /// changes: on every matrix family — each proven to reach its layout
+    /// branch — the sliced and shortrow plans produce bitwise identical
+    /// products to the serial kernel, for both the 1-vector and blocked
+    /// entry points.
     #[test]
     fn sorted_and_compact_layouts_are_bitwise_serial(
-        (rows, n, m) in arb_matrix(),
+        family in 0usize..3,
+        seed in 0u64..1000,
+        extra in 0usize..40,
         pool_threads in 1usize..4,
         chunks in 1usize..9,
         k in 1usize..MAX_RHS_BLOCK + 1,
     ) {
-        let c = to_csr(&rows, n, m);
+        let (c, sorted, width) = layout_family(family, seed, extra);
+        let (n, m) = (c.nrows(), c.ncols());
         let x1: Vec<f64> = (0..m).map(|j| ((j * 13 + 5) % 11) as f64 - 5.0).collect();
         let mut serial = vec![0.0; n];
         c.mul_vec_into(&x1, &mut serial);
@@ -341,32 +394,22 @@ proptest! {
             }
         }
         let pool = WorkerPool::new(pool_threads);
-        for width in [
-            IndexWidthChoice::Auto,
-            IndexWidthChoice::W16,
-            IndexWidthChoice::W32,
-        ] {
-            for sort in [SellSort::Auto, SellSort::Always, SellSort::Never] {
-                let plan = ChunkPlan::with_options(
-                    &c, chunks, KernelChoice::Sliced, BackendChoice::Auto, width, sort,
-                );
-                let mut y1 = vec![1.0; n];
-                c.mul_vec_pooled_into(&x1, &mut y1, &plan, &pool);
-                let got1: Vec<u64> = y1.iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(
-                    &serial_bits, &got1,
-                    "width {:?} sort {:?} (resolved {} sorted {})",
-                    width, sort, plan.index_width(), plan.sorted()
-                );
-                let mut yk = vec![1.0; n * k];
-                c.mul_mat_pooled_into(&xk, &mut yk, &plan, &pool, k);
-                let gotk: Vec<u64> = yk.iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(
-                    &want_k, &gotk,
-                    "blocked width {:?} sort {:?} k {}",
-                    width, sort, k
-                );
-            }
+        for choice in [KernelChoice::Sliced, KernelChoice::ShortRow] {
+            let plan = ChunkPlan::with_kernel(&c, chunks, choice);
+            prop_assert_eq!(plan.index_width(), width, "family {} {:?}", family, choice);
+            prop_assert_eq!(
+                plan.sorted(),
+                sorted && choice == KernelChoice::Sliced,
+                "family {} {:?}", family, choice
+            );
+            let mut y1 = vec![1.0; n];
+            c.mul_vec_pooled_into(&x1, &mut y1, &plan, &pool);
+            let got1: Vec<u64> = y1.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&serial_bits, &got1, "family {} {:?}", family, choice);
+            let mut yk = vec![1.0; n * k];
+            c.mul_mat_pooled_into(&xk, &mut yk, &plan, &pool, k);
+            let gotk: Vec<u64> = yk.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&want_k, &gotk, "blocked family {} {:?} k {}", family, choice, k);
         }
     }
 
